@@ -4,8 +4,9 @@ integral simplicial homology via exact linear algebra."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd
 
 
 class SimplicialComplex:
@@ -31,6 +32,7 @@ class SimplicialComplex:
                 kept.append(f)
         self.maximal_faces = kept
         self._faces_by_dim = None
+        self._vertex_pos = None
 
     @classmethod
     def flag(cls, vertices, edges):
@@ -99,27 +101,38 @@ class SimplicialComplex:
 
     # -- homology ---------------------------------------------------------
 
+    def _cells(self, d):
+        """The d-faces in faces_of_dim order, each as the sorted tuple of
+        its vertices' positions in the str order of the vertices."""
+        if self._vertex_pos is None:
+            order = sorted(self.vertices, key=str)
+            self._vertex_pos = {v: i for i, v in enumerate(order)}
+        pos = self._vertex_pos
+        return [tuple(sorted(pos[v] for v in f)) for f in self.faces_of_dim(d)]
+
     def boundary_matrix(self, d):
         """Sparse boundary map C_d -> C_{d-1} with the sorted-vertex
         orientation; columns indexed by d-faces, rows by (d-1)-faces."""
-        lower = {f: i for i, f in enumerate(self.faces_of_dim(d - 1))}
+        lower = {c: i for i, c in enumerate(self._cells(d - 1))}
         cols = []
-        for f in self.faces_of_dim(d):
-            ordered = sorted(f, key=str)
+        for cell in self._cells(d):
             col = {}
-            for i in range(len(ordered)):
-                sub = frozenset(ordered[:i] + ordered[i + 1 :])
-                col[lower[sub]] = (-1) ** i
+            sign = 1
+            for i in range(len(cell)):
+                col[lower[cell[:i] + cell[i + 1 :]]] = sign
+                sign = -sign
             cols.append(col)
         return cols, len(lower)
 
     def betti_numbers(self, check_torsion=False):
         """Ranks of H_d(K; Q) for d = 0..dim.
 
-        With check_torsion=True, also verifies via Smith diagonalization
-        that every boundary matrix has all invariant factors equal to 1,
-        so integral homology is free and the Betti numbers tell all;
-        raises if torsion is found.
+        Each boundary matrix is built once and reduced by one integer
+        elimination with unit pivots (see _invariant_factors), which gives
+        its rank and its invariant factors together.  With
+        check_torsion=True, raises if some invariant factor is not 1, that
+        is, if integral homology has torsion; otherwise integral homology
+        is free and the Betti numbers tell all.
         """
         top = self.dim()
         if top < 0:
@@ -127,12 +140,14 @@ class SimplicialComplex:
         ranks = {}
         ncells = {d: len(self.faces_of_dim(d)) for d in range(top + 1)}
         for d in range(1, top + 1):
-            cols, nrows = self.boundary_matrix(d)
-            ranks[d] = _sparse_rank(cols, nrows)
-            if check_torsion:
-                cols2, nrows2 = self.boundary_matrix(d)
-                if not _smith_all_units(cols2, nrows2):
-                    raise ValueError(f"torsion detected in boundary map d={d}")
+            factors = _invariant_factors(self.boundary_matrix(d)[0])
+            ranks[d] = len(factors)
+            torsion = [f for f in factors if f != 1]
+            if check_torsion and torsion:
+                raise ValueError(
+                    f"torsion detected in boundary map d={d}: "
+                    f"invariant factors {torsion}"
+                )
         ranks[0] = 0
         ranks[top + 1] = 0
         return tuple(
@@ -178,100 +193,77 @@ def _max_cliques(adj):
     yield from bk(set(), set(order), set())
 
 
-def _sparse_rank(cols, nrows):
-    """Rank over Q of a sparse integer matrix given as column dicts."""
-    # row-echelon over columns: pivots[row] = reduced column with that pivot
-    pivots = {}
-    rank = 0
-    for col in cols:
-        col = {r: Fraction(v) for r, v in col.items()}
-        while col:
-            r = min(col)
-            if r not in pivots:
-                inv = 1 / col[r]
-                pivots[r] = {k: v * inv for k, v in col.items()}
-                rank += 1
-                break
-            base = pivots[r]
-            c = col[r]
-            for k, v in base.items():
-                nv = col.get(k, Fraction(0)) - c * v
-                if nv:
-                    col[k] = nv
-                else:
-                    col.pop(k, None)
-    return rank
+def _reduce(col, pivots):
+    """Clear the entries of col (a dict, changed in place) on pivot rows.
 
-
-def _smith_all_units(cols, nrows):
-    """True iff every invariant factor of the integer matrix is 1.
-
-    Performs fraction-free elimination preferring unit pivots; boundary
-    matrices of simplicial complexes have +-1 entries throughout, so a
-    unit pivot is almost always available and elimination stays integral.
-    Falls back to a full Smith reduction on any residual block.
+    pivots maps a row r to (k, rows, values): the k-th pivot column made,
+    with entry 1 at r and its other entries on rows, values.  A pivot
+    column is zero on the rows of all older pivots, so subtracting pivot k
+    adds entries only on rows of younger pivots or of no pivot, and one
+    pass, oldest first, clears every pivot row.
     """
-    # dense-dict representation {(r, c): int}
-    mat = {}
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            if v:
-                mat[(r, c)] = v
-    used_r, used_c = set(), set()
-    changed = True
-    while changed:
-        changed = False
-        unit = next(
-            (
-                (r, c)
-                for (r, c), v in mat.items()
-                if abs(v) == 1 and r not in used_r and c not in used_c
-            ),
-            None,
-        )
-        if unit is None:
-            break
-        r0, c0 = unit
-        piv = mat[(r0, c0)]
-        # clear column c0 and row r0
-        col_entries = [(r, mat[(r, c0)]) for (r, c) in list(mat) if c == c0]
-        row_entries = [(c, mat[(r0, c)]) for (r, c) in list(mat) if r == r0]
-        for r, v in col_entries:
-            if r == r0:
+    heap = [(pivots[r][0], r) for r in col if r in pivots]
+    heapify(heap)
+    while heap:
+        r = heappop(heap)[1]
+        c = col.pop(r, 0)
+        if not c:
+            continue
+        _, rows, values = pivots[r]
+        for k, v in zip(rows, values):
+            old = col.get(k, 0)
+            new = old - c * v
+            if new:
+                col[k] = new
+                if not old and k in pivots:
+                    heappush(heap, (pivots[k][0], k))
+            elif old:
+                del col[k]
+
+
+def _invariant_factors(cols):
+    """Nonzero invariant factors of a sparse integer matrix given as
+    column dicts {row: entry}, each dividing the next; their number is
+    its rank.
+
+    One elimination over Z: each column is reduced against the pivot
+    columns made so far and, if a +-1 entry is left, it becomes a pivot
+    column there.  Only unit pivots are used, so every step is an
+    integral column operation and each pivot adds an invariant factor 1.
+    A column left without a unit entry waits and is reduced again once
+    newer pivots exist.  What is left at the end is the residual block,
+    zero on every pivot row, and its invariant factors (_smith_factors)
+    complete the list.  Boundary matrices of simplicial complexes have
+    +-1 entries throughout, so the residual is usually empty.
+    """
+    pivots = {}
+    pending = map(dict, cols)
+    while True:
+        grew = False
+        residual = []
+        for col in pending:
+            _reduce(col, pivots)
+            r = min((r for r, v in col.items() if v == 1 or v == -1), default=None)
+            if r is None:
+                if col:
+                    residual.append(col)
                 continue
-            factor = v * piv  # v / piv since piv = +-1
-            for c, w in row_entries:
-                if c == c0:
-                    continue
-                key = (r, c)
-                nv = mat.get(key, 0) - factor * w
-                if nv:
-                    mat[key] = nv
-                else:
-                    mat.pop(key, None)
-            mat.pop((r, c0), None)
-        for c, w in row_entries:
-            if c != c0:
-                mat.pop((r0, c), None)
-        used_r.add(r0)
-        used_c.add(c0)
-        changed = True
-    rest = {k: v for k, v in mat.items() if k[0] not in used_r and k[1] not in used_c}
-    if not rest:
-        return True
-    # residual block without unit entries: full Smith reduction decides
-    rows = sorted({r for r, _ in rest})
-    colsr = sorted({c for _, c in rest})
-    ri = {r: i for i, r in enumerate(rows)}
-    ci = {c: i for i, c in enumerate(colsr)}
-    dense = [[0] * len(colsr) for _ in rows]
-    for (r, c), v in rest.items():
-        dense[ri[r]][ci[c]] = v
-    return all(f == 1 for f in _smith_factors(dense))
+            sign = col.pop(r)
+            pivots[r] = (len(pivots), tuple(col), tuple(v * sign for v in col.values()))
+            grew = True
+        if not (residual and grew):
+            break
+        pending = residual
+    if not residual:
+        return [1] * len(pivots)
+    rows = sorted({r for col in residual for r in col})
+    dense = [[col.get(r, 0) for col in residual] for r in rows]
+    return [1] * len(pivots) + _smith_factors(dense)
 
 
 def _smith_factors(a):
-    """Nonzero invariant factors of a small dense integer matrix."""
+    """Nonzero invariant factors of a small dense integer matrix, each
+    dividing the next."""
     a = [row[:] for row in a]
     m, n = len(a), len(a[0]) if a else 0
     factors = []
@@ -310,4 +302,9 @@ def _smith_factors(a):
             continue
         factors.append(abs(piv))
         top += 1
+    # a diagonal form; gcd/lcm exchanges turn it into the divisor chain
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
     return factors

@@ -158,10 +158,15 @@ def _perm_sign(perm):
 def expand_on_generic_matrix(f: MultiPoly, d: int, n: int) -> MultiPoly:
     """Substitute each p_S by the d x d minor on columns S of a generic
     symbolic d x n matrix and expand.  Zero output certifies membership
-    in I_{d,n}."""
+    in I_{d,n}.  Each variable is read through its name ``p_<S>``, so the
+    ring may list the Plucker variables in any order."""
     target = generic_matrix_ring(d, n, f.ring.field)
+    by_name = {"p_" + subset_key(S): S for S in d_subsets(d, n)}
+    unknown = [v for v in f.ring.variables if v not in by_name]
+    if unknown:
+        raise ValueError(f"not Plucker variables of G({d},{n}): {unknown}")
+    subs = [by_name[v] for v in f.ring.variables]
     minors = {}
-    subs = d_subsets(d, n)
     result = target.zero()
     for exp, c in f.terms.items():
         term = target.one() * c

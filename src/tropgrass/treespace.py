@@ -143,14 +143,16 @@ class SemiLabeledTree:
     # -- exports ---------------------------------------------------------
 
     def to_split_json(self) -> str:
+        """JSON with each internal edge as its two sides (the side with
+        leaf 1 first), each a sorted list of leaves, and its length."""
+        sides = sorted(
+            ((sorted(s.A), sorted(s.B)), c) for s, c in self.internal_lengths.items()
+        )
         return json.dumps(
             {
                 "n": self.n,
                 "splits": [
-                    {"split": str(s), "length": str(c)}
-                    for s, c in sorted(
-                        self.internal_lengths.items(), key=lambda kv: str(kv[0])
-                    )
+                    {"split": [a, b], "length": str(c)} for (a, b), c in sides
                 ],
                 "leaf_offsets": [str(x) for x in self.leaf_offsets],
             }
@@ -158,12 +160,21 @@ class SemiLabeledTree:
 
     @classmethod
     def from_split_json(cls, text: str):
+        """Read to_split_json output; a split may also be given in the
+        older form "A|B" of concatenated leaf digits, for n <= 9."""
         data = json.loads(text)
         n = data["n"]
         lengths = {}
         for item in data["splits"]:
-            a, _ = item["split"].split("|")
-            lengths[Split(n, {int(c) for c in a})] = Fraction(item["length"])
+            split = item["split"]
+            if isinstance(split, str):
+                if n > 9:
+                    raise ValueError(
+                        f"digit-string split {split!r} is ambiguous for n = {n}"
+                    )
+                split = [[int(c) for c in side] for side in split.split("|")]
+            a, b = split
+            lengths[Split(n, a, b)] = Fraction(item["length"])
         return cls(n, lengths, [Fraction(x) for x in data["leaf_offsets"]])
 
     def to_newick(self) -> str:
@@ -373,45 +384,53 @@ def _phi_preimage(n, pairs):
 # -- the simplicial complex T_n ------------------------------------------
 
 
+def _attach_leaf(clusters, i, bit):
+    """The edge clusters after attaching a new leaf (bitmask bit) to the
+    edge with cluster clusters[i].
+
+    A trivalent tree is held as the list of its edge clusters, each
+    cluster being the bitmask of the leaves (bit j-2 for leaf j) on the
+    side of the edge away from leaf 1; inserting a leaf into the edge
+    with cluster C adds the leaf to exactly the clusters containing C,
+    splits that edge in two and adds the leaf's own edge.
+    """
+    C = clusters[i]
+    grown = [C2 | bit if C2 & C == C else C2 for j, C2 in enumerate(clusters) if j != i]
+    grown.extend((C | bit, C, bit))
+    return grown
+
+
+# the leaf edges of the tree on {1, 2, 3}
+_THREE_LEAF_CLUSTERS = (0b01, 0b10, 0b11)
+
+
+def _cluster_splits(n, clusters, cache):
+    """The splits of the internal edges among the clusters; cache maps
+    clusters to Splits already built."""
+    splits = []
+    for C in clusters:
+        if not 2 <= C.bit_count() <= n - 2:
+            continue
+        if C not in cache:
+            cache[C] = Split(n, [j for j in range(2, n + 1) if C >> (j - 2) & 1])
+        splits.append(cache[C])
+    return frozenset(splits)
+
+
 def _trivalent_split_sets(n):
     """All trivalent trees on [n] as frozensets of Splits, by recursive
     leaf insertion: each tree on k+1 leaves arises uniquely by attaching
-    leaf k+1 to one of the 2k-3 edges of a tree on k leaves.
-
-    A tree is held as the list of its edge clusters, each cluster being
-    the bitmask of the leaves (bit j-2 for leaf j) on the side of the
-    edge away from leaf 1; inserting a leaf into the edge with cluster C
-    adds the leaf to exactly the clusters containing C.
-    """
-    trees = [[0b01, 0b10, 0b11]]  # leaf edges of the tree on {1, 2, 3}
+    leaf k+1 to one of the 2k-3 edges of a tree on k leaves."""
+    trees = [list(_THREE_LEAF_CLUSTERS)]
     for k in range(4, n + 1):
         bit = 1 << (k - 2)
-        new_trees = []
-        for clusters in trees:
-            for i, C in enumerate(clusters):
-                grown = [
-                    C2 | bit if C2 & C == C else C2
-                    for j, C2 in enumerate(clusters)
-                    if j != i
-                ]
-                grown.extend((C | bit, C, bit))
-                new_trees.append(grown)
-        trees = new_trees
+        trees = [
+            _attach_leaf(clusters, i, bit)
+            for clusters in trees
+            for i in range(len(clusters))
+        ]
     cache = {}
-    out = []
-    for clusters in trees:
-        splits = []
-        for C in clusters:
-            size = C.bit_count()
-            if not 2 <= size <= n - 2:
-                continue
-            if C not in cache:
-                cache[C] = Split(
-                    n, [j for j in range(2, n + 1) if C >> (j - 2) & 1]
-                )
-            splits.append(cache[C])
-        out.append(frozenset(splits))
-    return out
+    return [_cluster_splits(n, clusters, cache) for clusters in trees]
 
 
 def tn_complex(n: int) -> SimplicialComplex:
@@ -540,9 +559,16 @@ def is_caterpillar(tree: SemiLabeledTree) -> bool:
 
 
 def random_trivalent_tree(n, rng, max_length=10) -> SemiLabeledTree:
-    """A uniformly shaped trivalent tree with random positive lengths."""
-    shapes = _trivalent_split_sets(n)
-    splits = shapes[rng.randrange(len(shapes))]
+    """A uniformly shaped trivalent tree with random positive lengths.
+
+    The shape is drawn by leaf insertion: leaf k goes onto one of the
+    2k-5 edges of the tree on k-1 leaves, uniformly, so each of the
+    (2n-5)!! shapes has one insertion sequence and equal probability.
+    """
+    clusters = list(_THREE_LEAF_CLUSTERS)
+    for k in range(4, n + 1):
+        clusters = _attach_leaf(clusters, rng.randrange(len(clusters)), 1 << (k - 2))
+    splits = _cluster_splits(n, clusters, {})
     lengths = {
         s: Fraction(rng.randint(1, max_length), rng.randint(1, 4))
         for s in splits

@@ -1,8 +1,11 @@
 """Simplicial complexes: f-vectors, links, flag complexes, homology."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from tropgrass.complexes import SimplicialComplex
+from tropgrass.complexes import SimplicialComplex, _invariant_factors, _smith_factors
 
 
 def circle():
@@ -91,3 +94,59 @@ def test_json_round_trip():
     back = SimplicialComplex.from_json(s.to_json())
     assert back.f_vector() == s.f_vector()
     assert back.euler_characteristic() == s.euler_characteristic()
+
+
+# -- the integer elimination ----------------------------------------------
+
+
+def fraction_rank(cols, nrows):
+    """Reference rank over Q by Gaussian elimination on Fractions."""
+    rows = [[Fraction(col.get(r, 0)) for col in cols] for r in range(nrows)]
+    rank = 0
+    for c in range(len(cols)):
+        piv = next((r for r in range(rank, nrows) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(nrows):
+            if r != rank and rows[r][c]:
+                q = rows[r][c] / rows[rank][c]
+                rows[r] = [x - q * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def random_sparse_matrix(rng):
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    density = rng.choice([0.15, 0.3, 0.6])
+    cols = [
+        {r: v for r in range(nrows)
+         if rng.random() < density and (v := rng.randint(-3, 3))}
+        for _ in range(ncols)
+    ]
+    return cols, nrows
+
+
+def test_elimination_rank_matches_fraction_rank():
+    rng = random.Random(20)
+    for _ in range(300):
+        cols, nrows = random_sparse_matrix(rng)
+        assert len(_invariant_factors(cols)) == fraction_rank(cols, nrows)
+
+
+def test_elimination_invariant_factors_match_smith():
+    rng = random.Random(21)
+    nonunit = 0
+    for _ in range(300):
+        cols, nrows = random_sparse_matrix(rng)
+        dense = [[col.get(r, 0) for col in cols] for r in range(nrows)]
+        factors = _invariant_factors(cols)
+        assert factors == _smith_factors(dense)
+        nonunit += any(f != 1 for f in factors)
+    assert nonunit > 20  # the residual block is exercised
+
+
+def test_smith_factors_form_a_divisor_chain():
+    assert _smith_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert _smith_factors([[4, 0, 0], [0, 6, 0], [0, 0, 0]]) == [2, 12]
+    assert _smith_factors([[0, 0]]) == []

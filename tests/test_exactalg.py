@@ -43,7 +43,7 @@ from tropgrass.exactalg import (
     weight_refined_order,
 )
 from tropgrass.exactalg.plucker import FANO_COLUMNS, TPolyMatrix
-from tropgrass.pvector import INF, d_subsets
+from tropgrass.pvector import INF, d_subsets, subset_key
 
 
 # -- scalars --------------------------------------------------------------
@@ -278,6 +278,17 @@ def test_generators_vanish_on_generic_matrix():
 def test_nontrivial_polynomial_does_not_vanish():
     ring = plucker_ring(2, 4)
     assert not expand_on_generic_matrix(ring.parse("p_12"), 2, 4).is_zero()
+
+
+def test_expansion_reads_variables_by_name():
+    # the variables of I_{3,7} in colex subset order p_123, p_124, p_134, ...
+    colex = sorted(d_subsets(3, 7), key=lambda S: tuple(reversed(S)))
+    ring = PolyRing(QQ, ["p_" + subset_key(S) for S in colex])
+    g = plucker_generators(3, 7)[0]
+    assert expand_on_generic_matrix(ring.parse(str(g)), 3, 7).is_zero()
+    assert not expand_on_generic_matrix(ring.parse("p_124"), 3, 7).is_zero()
+    with pytest.raises(ValueError):
+        expand_on_generic_matrix(PolyRing(QQ, ["p_12", "x"]).parse("x"), 2, 4)
 
 
 def test_tpoly_matrix_minors():

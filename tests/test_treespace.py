@@ -1,5 +1,6 @@
 """Trees, tree metrics, the space of trees, and tree ideals."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -19,6 +20,7 @@ from tropgrass.exactalg import (
 from tropgrass.treespace import (
     SemiLabeledTree,
     Split,
+    _trivalent_split_sets,
     additive_linkage,
     circular_weight,
     dissimilarity_from_csv,
@@ -168,6 +170,34 @@ def test_split_json_round_trip():
     assert SemiLabeledTree.from_split_json(t.to_split_json()) == t
 
 
+def test_split_json_round_trip_beyond_nine_leaves():
+    # leaf 12 and leaves 1, 2 would read alike as concatenated digits
+    t = random_trivalent_tree(12, random.Random(7))
+    text = t.to_split_json()
+    assert SemiLabeledTree.from_split_json(text) == t
+    for item in json.loads(text)["splits"]:
+        a, b = item["split"]
+        assert a == sorted(a) and b == sorted(b) and 1 in a
+        assert sorted(a + b) == list(range(1, 13))
+
+
+def test_split_json_reads_digit_strings():
+    doc = {
+        "n": 6,
+        "splits": [{"split": "1234|56", "length": "2"},
+                   {"split": "3456|12", "length": "1/2"}],
+        "leaf_offsets": ["0", "1", "0", "0", "3", "0"],
+    }
+    t = SemiLabeledTree.from_split_json(json.dumps(doc))
+    assert t == SemiLabeledTree(
+        6, {Split(6, {5, 6}): 2, Split(6, {1, 2}): Fraction(1, 2)},
+        [0, 1, 0, 0, 3, 0],
+    )
+    doc["n"] = 12
+    with pytest.raises(ValueError):
+        SemiLabeledTree.from_split_json(json.dumps(doc))
+
+
 def test_newick_contains_all_leaves_and_lengths():
     t = snowflake()
     nwk = t.to_newick()
@@ -275,3 +305,15 @@ def test_random_trivalent_tree_is_trivalent():
     for n in (5, 6, 7, 8):
         t = random_trivalent_tree(n, rng)
         assert t.is_trivalent() and len(t.internal_lengths) == n - 3
+
+
+def test_random_trivalent_tree_many_leaves():
+    t = random_trivalent_tree(30, random.Random(11))
+    assert t.is_trivalent() and len(t.splits) == 27
+
+
+def test_random_trivalent_tree_hits_every_shape():
+    rng = random.Random(5)
+    shapes = {random_trivalent_tree(5, rng).splits for _ in range(200)}
+    assert shapes == set(_trivalent_split_sets(5))
+    assert len(shapes) == 15

@@ -379,7 +379,7 @@ def build_parser():
             "--budget",
             type=int,
             default=_env_int("TROPGRASS_BUDGET", None),
-            help="Groebner step budget",
+            help="step budget: S-pairs per Groebner run, witness candidates",
         )
         p.add_argument(
             "--seed",

@@ -7,8 +7,8 @@ import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .groebner import normal_form, reduced_groebner_basis
-from .orders import TermOrder, degrevlex, elimination_order
+from .groebner import StepBudgetExceeded, normal_form, reduced_groebner_basis
+from .orders import TermOrder, degrevlex, elimination_order, weight_order
 from .poly import MultiPoly, PolyRing
 from .scalars import GF, QQ
 
@@ -94,23 +94,9 @@ def initial_form(f: MultiPoly, w) -> MultiPoly:
     return MultiPoly(f.ring, chosen)
 
 
-def weight_refined_order(w, negate=False) -> TermOrder:
-    """Term order refining w (min convention) by degrevlex.
-
-    The leading term of any f under this order is a term of in_w(f); this
-    is the order 'defined by -w' in max-convention systems.  negate=True
-    flips the sign of w first, for callers that want the opposite regime.
-    """
-    w = [Fraction(x) for x in w]
-    if negate:
-        w = [-x for x in w]
-    return TermOrder(w)
-
-
 def initial_ideal(ideal: IdealHandle, w, max_steps=None) -> IdealHandle:
     """in_w(I), generated by initial forms of a w-refined reduced basis."""
-    order = weight_refined_order(w)
-    basis = ideal.reduced_groebner(order, max_steps=max_steps)
+    basis = ideal.reduced_groebner(weight_order(w), max_steps=max_steps)
     return IdealHandle(ideal.ring, [initial_form(g, w) for g in basis])
 
 
@@ -133,44 +119,58 @@ class MonomialFreeness:
         return f"MonomialFreeness(free=False, witness={self.witness})"
 
 
-def contains_monomial(ideal: IdealHandle, max_steps=None, witness_degree_cap=6):
-    """Does the ideal contain a monomial?  Decided by saturation.
+def contains_monomial(ideal: IdealHandle, max_steps=None):
+    """Does the homogeneous ideal J contain a monomial?  Decided by saturation.
 
-    Adds an auxiliary variable y and the relation y*(product of all
-    variables) - 1; the ideal contains a monomial iff the extended ideal
-    is the unit ideal.  On a positive answer a smallest-degree monomial
-    witness is located by degree-bounded search.
+    J contains a monomial iff J : (x_1 ... x_n)^oo = (1).  The saturation
+    runs one variable at a time in J's own ring (Bayer): under an order
+    whose leading terms carry the least power of x_i (degrevlex for the
+    last variable, weight_order(e_i) for any other), dividing each element
+    of a Groebner basis by its largest power of x_i gives a basis of
+    J : x_i^oo.  The powers divided out bound the degree of a search for
+    the first monomial of J in degree, then lexicographic, order; each
+    candidate tested counts as one step against max_steps.
     """
+    if not ideal.is_homogeneous():
+        raise ValueError("contains_monomial requires a homogeneous ideal")
     ring = ideal.ring
-    ext = ring.extend(("_y",))
-    lift = [
-        MultiPoly(ext, {e + (0,): c for e, c in g.terms.items()})
-        for g in ideal.generators
-    ]
-    prod_exp = tuple([1] * ring.nvars + [1])
-    relation = ext.from_terms([(prod_exp, 1), ((0,) * ext.nvars, -1)])
-    order = degrevlex(ext.nvars)
-    basis = reduced_groebner_basis(lift + [relation], order, max_steps=max_steps)
-    is_unit = len(basis) == 1 and basis[0].total_degree() == 0
-    if not is_unit:
-        return MonomialFreeness(True)
-    # a monomial exists; find one by degree escalation
-    base_order = degrevlex(ring.nvars)
+    n = ring.nvars
+    base_order = degrevlex(n)
     gbase = ideal.reduced_groebner(base_order, max_steps=max_steps)
     for g in gbase:
         if g.is_monomial():
             return MonomialFreeness(False, witness=g)
-    for deg in range(1, witness_degree_cap + 1):
-        for combo in combinations_with_replacement(range(ring.nvars), deg):
-            exp = [0] * ring.nvars
-            for i in combo:
-                exp[i] += 1
-            mono = ring.monomial(exp)
-            if normal_form(mono, gbase, base_order).is_zero():
-                return MonomialFreeness(False, witness=mono)
-    raise RuntimeError(
-        f"ideal contains a monomial but none found up to degree {witness_degree_cap}"
-    )
+    # J : (x_0 ... x_{n-1})^oo, with x_{n-1} first since gbase is its
+    # Bayer basis; power[i] = largest power of x_i divided out
+    basis = gbase
+    power = [0] * n
+    for i in [n - 1, *range(n - 1)]:
+        if i != n - 1:
+            basis = reduced_groebner_basis(
+                basis, weight_order([int(j == i) for j in range(n)]),
+                max_steps=max_steps,
+            )
+        ks = [min(e[i] for e in g.terms) for g in basis]
+        power[i] = max(ks, default=0)
+        basis = [
+            MultiPoly(ring, {e[:i] + (e[i] - k,) + e[i + 1:]: c
+                             for e, c in g.terms.items()})
+            for g, k in zip(basis, ks)
+        ]
+        if any(g.total_degree() == 0 for g in basis):
+            break
+    else:
+        return MonomialFreeness(True)
+    # the product of x_i^power[i] lies in J, so the search ends by its degree
+    candidates = (c for deg in range(1, sum(power) + 1)
+                  for c in combinations_with_replacement(range(n), deg))
+    for steps, combo in enumerate(candidates, 1):
+        if max_steps is not None and steps > max_steps:
+            raise StepBudgetExceeded(f"witness search budget {max_steps} exhausted")
+        mono = ring.monomial([combo.count(j) for j in range(n)])
+        if normal_form(mono, gbase, base_order).is_zero():
+            return MonomialFreeness(False, witness=mono)
+    return MonomialFreeness(False, witness=ring.monomial(power))
 
 
 def is_monomial_free(ideal: IdealHandle, w, max_steps=None) -> MonomialFreeness:
@@ -208,7 +208,7 @@ def intersect_ideals(a: IdealHandle, b: IdealHandle, max_steps=None) -> IdealHan
     if a.ring != b.ring:
         raise ValueError("ideals live in different rings")
     ring = a.ring
-    ext = ring.extend(("_t",), front=True)
+    ext = PolyRing(ring.field, ("_t",) + ring.variables)
 
     def lift(g):
         return MultiPoly(ext, {(0,) + e: c for e, c in g.terms.items()})

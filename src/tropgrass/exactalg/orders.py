@@ -98,8 +98,13 @@ def degrevlex(nvars: int) -> TermOrder:
 
 
 def weight_order(weight) -> TermOrder:
+    """Term order refining w (min convention) by degrevlex.
+
+    The leading term of any f under this order is a term of in_w(f); this
+    is the order 'defined by -w' in max-convention systems.
+    """
     return TermOrder(weight)
 
 
-def elimination_order(nvars: int, eliminate, weight=None) -> TermOrder:
-    return TermOrder(weight, nvars=nvars, eliminate=eliminate)
+def elimination_order(nvars: int, eliminate) -> TermOrder:
+    return TermOrder(None, nvars=nvars, eliminate=eliminate)

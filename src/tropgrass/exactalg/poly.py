@@ -59,12 +59,6 @@ class PolyRing:
                 acc[exp] = s
         return MultiPoly(self, acc)
 
-    def extend(self, extra_variables, front=False):
-        """New ring with extra variables appended (or prepended)."""
-        if front:
-            return PolyRing(self.field, tuple(extra_variables) + self.variables)
-        return PolyRing(self.field, self.variables + tuple(extra_variables))
-
     def with_field(self, field):
         return PolyRing(field, self.variables)
 

@@ -230,8 +230,8 @@ def tree_to_plucker(tree: SemiLabeledTree) -> PlueckerVector:
     return PlueckerVector(2, tree.n, coords)
 
 
-def dissimilarity_from_csv(text: str, negate=True) -> PlueckerVector:
-    """Read a symmetric distance matrix; returns w = -d (negate=True)."""
+def dissimilarity_from_csv(text: str) -> PlueckerVector:
+    """Read a symmetric distance matrix; returns w = -d."""
     rows = [
         [Fraction(v) for v in row]
         for row in csv.reader(io.StringIO(text))
@@ -246,23 +246,21 @@ def dissimilarity_from_csv(text: str, negate=True) -> PlueckerVector:
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 raise ValueError("matrix not symmetric")
-    sign = -1 if negate else 1
     coords = {
-        (i, j): sign * rows[i - 1][j - 1]
+        (i, j): -rows[i - 1][j - 1]
         for (i, j) in combinations(range(1, n + 1), 2)
     }
     return PlueckerVector(2, n, coords)
 
 
-def dissimilarity_to_csv(w: PlueckerVector, negate=True) -> str:
+def dissimilarity_to_csv(w: PlueckerVector) -> str:
     n = w.n
-    sign = -1 if negate else 1
     buf = io.StringIO()
     writer = csv.writer(buf)
     for i in range(1, n + 1):
         writer.writerow(
             [
-                "0" if i == j else str(sign * w[(min(i, j), max(i, j))])
+                "0" if i == j else str(-w[(min(i, j), max(i, j))])
                 for j in range(1, n + 1)
             ]
         )

@@ -40,10 +40,15 @@ from tropgrass.exactalg import (
     sort_sign,
     three_term_quadric,
     toric_kernel,
-    weight_refined_order,
+    weight_order,
 )
 from tropgrass.exactalg.plucker import FANO_COLUMNS, TPolyMatrix
-from tropgrass.pvector import INF, d_subsets, subset_key
+from tropgrass.pvector import INF, PlueckerVector, d_subsets, subset_key
+from tropgrass.treespace import (
+    four_point_check,
+    random_trivalent_tree,
+    tree_to_plucker,
+)
 
 
 # -- scalars --------------------------------------------------------------
@@ -108,7 +113,7 @@ def test_weight_refined_order_picks_initial_terms():
     f = R.parse("x^2 + x*y + y^2")
     w = [0, 1]
     assert initial_form(f, w) == R.parse("x^2")
-    order = weight_refined_order(w)
+    order = weight_order(w)
     lead = max(f.terms, key=order.key)
     assert lead in initial_form(f, w).terms
     assert degrevlex(2).is_degree_compatible()
@@ -224,6 +229,19 @@ def test_contains_monomial_with_witness():
     assert I.contains(res.witness)
     J = IdealHandle(R, [R.parse("x - y")])
     assert contains_monomial(J).free
+    S = PolyRing(QQ, ["x", "y", "z"])
+    x, y, z = S.gen(0), S.gen(1), S.gen(2)
+    # no element of the degrevlex basis is a monomial, so the witness
+    # comes from the search bounded by the saturation exponents
+    for k, witness in ((2, "x^4"), (4, "x^8")):
+        K = IdealHandle(S, [(x + y) ** k, 3 * x * y + x * z + y * z])
+        assert not any(g.is_monomial() for g in K.reduced_groebner(degrevlex(3)))
+        res = contains_monomial(K)
+        assert not res.free and str(res.witness) == witness
+    with pytest.raises(StepBudgetExceeded):
+        contains_monomial(K, max_steps=50)  # x^8 is the 120th candidate
+    with pytest.raises(ValueError):
+        contains_monomial(IdealHandle(S, [x - 1]))
 
 
 def test_is_monomial_free_flips_with_weight():
@@ -232,6 +250,23 @@ def test_is_monomial_free_flips_with_weight():
     assert is_monomial_free(I, [0, 0]).free
     res = is_monomial_free(I, [0, 1])  # in_w = <x>
     assert not res.free
+
+
+def test_d2_monomial_freeness_matches_four_point_condition():
+    # w lies in G(2,n) iff in_w(I_{2,n}) has no monomial iff w satisfies
+    # the four-point condition: half tree metrics, half random integers
+    rng = random.Random(2)
+    for n, count in ((5, 200), (6, 100)):
+        ideal = IdealHandle.of(plucker_generators(2, n))
+        for k in range(count):
+            if k % 2:
+                w = tree_to_plucker(random_trivalent_tree(n, rng))
+            else:
+                w = PlueckerVector(2, n, {S: rng.randint(0, 3)
+                                          for S in d_subsets(2, n)})
+            res = is_monomial_free(ideal, w.as_list())
+            assert res.free == four_point_check(w)[0], (n, w.as_list())
+            assert res.free or res.witness.is_monomial()
 
 
 # -- Hilbert degrees ------------------------------------------------------

@@ -79,11 +79,10 @@ def _normalize(terms, lead, char):
     return terms, lead
 
 
-def _reduce(terms, order, basis, char, budget=None, scale=None):
+def _reduce(terms, order, basis, char, scale=None):
     """Full normal form of a flat term dict against flat basis entries.
 
     basis: list of (terms, lead_exp).  Returns a flat dict (possibly empty).
-    budget: mutable [steps_left] or None.
     scale: mutable [int] or None.  When given, accumulates the factor the
     input was multiplied by (fraction-free reduction over Z) and the final
     content normalization is skipped, so result == scale[0] * NF(input).
@@ -108,10 +107,6 @@ def _reduce(terms, order, basis, char, budget=None, scale=None):
         if reducer is None:
             result[exp] = c
             continue
-        if budget is not None:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise StepBudgetExceeded("normal-form step budget exhausted")
         lexp, bterms = reducer
         shift = tuple(b - a for a, b in zip(lexp, exp))
         if char == 0:
@@ -338,14 +333,11 @@ def _interreduce(basis, order, char):
     return reduced
 
 
-def _unflatten(ring: PolyRing, flat, order, monic=True):
+def _unflatten(ring: PolyRing, flat):
     terms, lead = flat
-    field = ring.field
-    if field.characteristic == 0:
-        if monic:
-            lc = Fraction(terms[lead])
-            return MultiPoly(ring, {e: Fraction(v) / lc for e, v in terms.items()})
-        return MultiPoly(ring, {e: Fraction(v) for e, v in terms.items()})
+    if ring.field.characteristic == 0:
+        lc = Fraction(terms[lead])
+        return MultiPoly(ring, {e: Fraction(v) / lc for e, v in terms.items()})
     return MultiPoly(ring, dict(terms))
 
 
@@ -358,10 +350,10 @@ def reduced_groebner_basis(generators, order, max_steps=None):
     char = ring.field.characteristic
     gb = buchberger(gens, order, max_steps=max_steps)
     gb = _interreduce(gb, order, char)
-    return [_unflatten(ring, f, order) for f in gb]
+    return [_unflatten(ring, f) for f in gb]
 
 
-def normal_form(f: MultiPoly, basis, order, max_steps=None):
+def normal_form(f: MultiPoly, basis, order):
     """Remainder of f on division by basis (a list of MultiPoly)."""
     if f.is_zero():
         return f
@@ -375,9 +367,8 @@ def normal_form(f: MultiPoly, basis, order, max_steps=None):
     flat = _flatten(f, order)
     if flat is None:
         return ring.zero()
-    budget = None if max_steps is None else [max_steps]
     scale = [1]
-    red = _reduce(flat[0], order, flat_basis, char, budget=budget, scale=scale)
+    red = _reduce(flat[0], order, flat_basis, char, scale=scale)
     if not red:
         return ring.zero()
     # _flatten rescaled f and _reduce multiplied through by scale[0];

@@ -35,18 +35,19 @@ class IdealHandle:
             )
         return self._bases[order]
 
-    def normal_form(self, f: MultiPoly, order=None):
-        order = order or degrevlex(self.ring.nvars)
+    def normal_form(self, f: MultiPoly):
+        order = degrevlex(self.ring.nvars)
         return normal_form(f, self.reduced_groebner(order), order)
 
-    def contains(self, f: MultiPoly, order=None) -> bool:
-        return self.normal_form(f, order).is_zero()
+    def contains(self, f: MultiPoly) -> bool:
+        return self.normal_form(f).is_zero()
 
     def equals(self, other: "IdealHandle") -> bool:
-        """Ideal equality via mutual membership of generators."""
-        return all(self.contains(g) for g in other.generators) and all(
-            other.contains(g) for g in self.generators
-        )
+        """Ideal equality: the reduced degrevlex bases agree."""
+        if self.ring != other.ring:
+            raise ValueError("ideals live in different rings")
+        order = degrevlex(self.ring.nvars)
+        return self.reduced_groebner(order) == other.reduced_groebner(order)
 
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.generators)
@@ -95,9 +96,16 @@ def initial_form(f: MultiPoly, w) -> MultiPoly:
 
 
 def initial_ideal(ideal: IdealHandle, w, max_steps=None) -> IdealHandle:
-    """in_w(I), generated by initial forms of a w-refined reduced basis."""
+    """in_w(I), generated by in_w(G) for G the reduced basis of I under
+    weight_order(w), i.e. w refined by degrevlex; so in_w(G) is also the
+    reduced degrevlex basis of in_w(I) (Sturmfels, GBCP, Cor. 1.9)."""
     basis = ideal.reduced_groebner(weight_order(w), max_steps=max_steps)
-    return IdealHandle(ideal.ring, [initial_form(g, w) for g in basis])
+    inw = IdealHandle(ideal.ring, [initial_form(g, w) for g in basis])
+    order = degrevlex(ideal.ring.nvars)
+    lead = order.leading_monomial
+    # reduced_groebner_basis's order: the degrevlex key starts with the degree
+    inw._bases[order] = sorted(inw.generators, key=lambda g: order.key(lead(g)))
+    return inw
 
 
 # -- monomial-freeness ----------------------------------------------------
@@ -337,7 +345,7 @@ def _hilbert_numerator(exps):
                      _poly_shift_mul(_hilbert_numerator(colon), 1))
 
 
-def degree_of(ideal: IdealHandle, order=None, max_steps=None) -> int:
+def degree_of(ideal: IdealHandle, max_steps=None) -> int:
     """Degree of the projective scheme of a homogeneous ideal.
 
     Computed from the Hilbert series of the initial monomial ideal of a
@@ -346,7 +354,7 @@ def degree_of(ideal: IdealHandle, order=None, max_steps=None) -> int:
     """
     if not ideal.is_homogeneous():
         raise ValueError("degree_of requires a homogeneous ideal")
-    order = order or degrevlex(ideal.ring.nvars)
+    order = degrevlex(ideal.ring.nvars)
     basis = ideal.reduced_groebner(order, max_steps=max_steps)
     exps = [order.leading_monomial(g) for g in basis]
     num = _hilbert_numerator(exps)

@@ -42,10 +42,13 @@ from tropgrass.exactalg import (
     toric_kernel,
     weight_order,
 )
+from tropgrass.exactalg import ideals
 from tropgrass.exactalg.plucker import FANO_COLUMNS, TPolyMatrix
+from tropgrass.minplus import tropical_minors
 from tropgrass.pvector import INF, PlueckerVector, d_subsets, subset_key
 from tropgrass.treespace import (
     four_point_check,
+    j_sigma,
     random_trivalent_tree,
     tree_to_plucker,
 )
@@ -219,6 +222,72 @@ def test_initial_ideal_toy():
     I = IdealHandle(R, [R.parse("x^2 + x*y")])
     inw = initial_ideal(I, [0, 1])
     assert inw.equals(IdealHandle(R, [R.parse("x^2")]))
+
+
+def test_equals_rejects_ideals_in_different_rings():
+    R = PolyRing(QQ, ["x", "y"])
+    I = IdealHandle(R, [R.parse("x")])
+    assert I.equals(IdealHandle(R, [R.parse("2*x")]))
+    assert not I.equals(IdealHandle(R, [R.parse("y")]))
+    for S, text in ((PolyRing(GF(2), ["x", "y"]), "x"),
+                    (PolyRing(QQ, ["u", "v"]), "u")):
+        with pytest.raises(ValueError, match="different rings"):
+            I.equals(IdealHandle(S, [S.parse(text)]))
+
+
+def test_initial_ideal_seeds_its_reduced_degrevlex_basis():
+    # the basis initial_ideal hands over (the initial forms of the
+    # weight-order basis) against a fresh degrevlex Buchberger run
+    rng = random.Random(5)
+    cases = []
+    for field in (QQ, GF(2), GF(3)):
+        for n in (5, 6):
+            ideal = IdealHandle.of(plucker_generators(2, n, field))
+            for k in range(6):
+                if k % 2:
+                    w = tree_to_plucker(random_trivalent_tree(n, rng)).as_list()
+                else:
+                    w = [rng.randint(0, 3) for _ in range(ideal.ring.nvars)]
+                cases.append((ideal, w))
+    g36 = IdealHandle.of(plucker_generators(3, 6))
+    for _ in range(6):
+        rows = [[rng.randint(0, 9) for _ in range(6)] for _ in range(3)]
+        cases.append((g36, tropical_minors(rows).as_list()))
+    cases += [(g36, [rng.randint(0, 1) for _ in range(20)]) for _ in range(3)]
+    for ideal, w in cases:
+        inw = initial_ideal(ideal, w)
+        order = degrevlex(ideal.ring.nvars)
+        fresh = reduced_groebner_basis(inw.generators, order)
+        assert inw.reduced_groebner(order) == fresh, (ideal.ring.field, w)
+
+
+def test_buchberger_runs_per_ideal_request(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reduced_groebner_basis(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "reduced_groebner_basis", counting)
+    # G(3,6) degree: the weight-order run only
+    w = tropical_minors([[0, 1, 3, 2, 5, 4], [2, 0, 1, 4, 3, 6], [1, 3, 0, 2, 6, 5]])
+    assert degree_of(initial_ideal(IdealHandle.of(plucker_generators(3, 6)),
+                                   w.as_list())) == 42
+    assert len(calls) == 1
+    # tree cone: the weight-order run plus J_sigma's degrevlex run
+    calls.clear()
+    tree = random_trivalent_tree(7, random.Random(3))
+    inw = initial_ideal(IdealHandle.of(plucker_generators(2, 7)),
+                        tree_to_plucker(tree).as_list())
+    assert inw.equals(IdealHandle.of(j_sigma(tree)))
+    assert len(calls) == 2
+    # free G(2,6) tree weight: the weight-order run plus one saturation
+    # run for each of the 14 variables other than the last
+    calls.clear()
+    tree = random_trivalent_tree(6, random.Random(4))
+    assert is_monomial_free(IdealHandle.of(plucker_generators(2, 6)),
+                            tree_to_plucker(tree).as_list()).free
+    assert len(calls) == 15
 
 
 def test_contains_monomial_with_witness():

@@ -1,10 +1,11 @@
-"""Ideal-level operations: initial ideals, monomial-freeness, intersection,
-elimination, toric kernels and Hilbert-series degrees."""
+"""Ideal-level operations: initial ideals, saturation, monomial-freeness,
+intersection, elimination, toric kernels and Hilbert-series degrees."""
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 
 from .groebner import StepBudgetExceeded, normal_form, reduced_groebner_basis
@@ -108,7 +109,7 @@ def initial_ideal(ideal: IdealHandle, w, max_steps=None) -> IdealHandle:
     return inw
 
 
-# -- monomial-freeness ----------------------------------------------------
+# -- saturation and monomial-freeness ------------------------------------
 
 
 class MonomialFreeness:
@@ -127,30 +128,24 @@ class MonomialFreeness:
         return f"MonomialFreeness(free=False, witness={self.witness})"
 
 
-def contains_monomial(ideal: IdealHandle, max_steps=None):
-    """Does the homogeneous ideal J contain a monomial?  Decided by saturation.
+def saturate(ideal: IdealHandle, max_steps=None):
+    """J : (x_1 ... x_n)^oo for a homogeneous ideal J, one variable at a
+    time in J's own ring (Bayer).
 
-    J contains a monomial iff J : (x_1 ... x_n)^oo = (1).  The saturation
-    runs one variable at a time in J's own ring (Bayer): under an order
-    whose leading terms carry the least power of x_i (degrevlex for the
-    last variable, weight_order(e_i) for any other), dividing each element
-    of a Groebner basis by its largest power of x_i gives a basis of
-    J : x_i^oo.  The powers divided out bound the degree of a search for
-    the first monomial of J in degree, then lexicographic, order; each
-    candidate tested counts as one step against max_steps.
+    Under an order whose leading terms carry the least power of x_i
+    (degrevlex for the last variable, weight_order(e_i) for any other),
+    dividing each element of a Groebner basis by its largest power of x_i
+    gives a basis of J : x_i^oo.  Returns that basis after the last
+    variable and the list of the largest power of each x_i divided out;
+    stops early once the basis holds a constant, i.e. at (1).  max_steps
+    caps each Groebner run.
     """
     if not ideal.is_homogeneous():
-        raise ValueError("contains_monomial requires a homogeneous ideal")
+        raise ValueError("saturation requires a homogeneous ideal")
     ring = ideal.ring
     n = ring.nvars
-    base_order = degrevlex(n)
-    gbase = ideal.reduced_groebner(base_order, max_steps=max_steps)
-    for g in gbase:
-        if g.is_monomial():
-            return MonomialFreeness(False, witness=g)
-    # J : (x_0 ... x_{n-1})^oo, with x_{n-1} first since gbase is its
-    # Bayer basis; power[i] = largest power of x_i divided out
-    basis = gbase
+    # x_{n-1} first, since the degrevlex basis is its Bayer basis
+    basis = ideal.reduced_groebner(degrevlex(n), max_steps=max_steps)
     power = [0] * n
     for i in [n - 1, *range(n - 1)]:
         if i != n - 1:
@@ -167,7 +162,28 @@ def contains_monomial(ideal: IdealHandle, max_steps=None):
         ]
         if any(g.total_degree() == 0 for g in basis):
             break
-    else:
+    return basis, power
+
+
+def contains_monomial(ideal: IdealHandle, max_steps=None):
+    """Does the homogeneous ideal J contain a monomial?  Decided by saturation.
+
+    J contains a monomial iff J : (x_1 ... x_n)^oo = (1) (see saturate).
+    The powers divided out bound the degree of a search for the first
+    monomial of J in degree, then lexicographic, order; each candidate
+    tested counts as one step against max_steps.
+    """
+    if not ideal.is_homogeneous():
+        raise ValueError("contains_monomial requires a homogeneous ideal")
+    ring = ideal.ring
+    n = ring.nvars
+    base_order = degrevlex(n)
+    gbase = ideal.reduced_groebner(base_order, max_steps=max_steps)
+    for g in gbase:
+        if g.is_monomial():
+            return MonomialFreeness(False, witness=g)
+    basis, power = saturate(ideal, max_steps=max_steps)
+    if not any(g.total_degree() == 0 for g in basis):
         return MonomialFreeness(True)
     # the product of x_i^power[i] lies in J, so the search ends by its degree
     candidates = (c for deg in range(1, sum(power) + 1)
@@ -230,6 +246,28 @@ def intersect_ideals(a: IdealHandle, b: IdealHandle, max_steps=None) -> IdealHan
     return IdealHandle(ring, out)
 
 
+def _integer_kernel(vectors):
+    """Basis of the lattice {u in Z^n : sum_j u_j a_j = 0} of the integer
+    vectors a_1..a_n, by unimodular row reduction of [A^T | I]: the rows
+    whose A^T part is cleared.  The row operations are invertible over Z,
+    so the basis spans all of ker_Z(A), not a sublattice of finite index.
+    """
+    n, m = len(vectors), len(vectors[0]) if vectors else 0
+    rows = [list(a) + [int(i == j) for j in range(n)] for i, a in enumerate(vectors)]
+    top = 0
+    for col in range(m):
+        while live := [r for r in range(top, n) if rows[r][col]]:
+            p = min(live, key=lambda r: abs(rows[r][col]))
+            rows[top], rows[p] = rows[p], rows[top]
+            if len(live) == 1:
+                top += 1
+                break
+            for r in range(top + 1, n):
+                q = rows[r][col] // rows[top][col]
+                rows[r] = [x - q * y for x, y in zip(rows[r], rows[top])]
+    return [row[m:] for row in rows[top:]]
+
+
 def toric_kernel(monomial_map, source_ring: PolyRing, target_ring: PolyRing,
                  max_steps=None) -> IdealHandle:
     """Kernel of the ring map sending each source variable to a monomial
@@ -238,38 +276,32 @@ def toric_kernel(monomial_map, source_ring: PolyRing, target_ring: PolyRing,
     monomial_map: dict source-variable-name -> exponent tuple over the
     target ring (or a MultiPoly term c * monomial in the target ring,
     c a nonzero scalar).
+
+    For x_j -> c_j t^{a_j} the kernel is the saturation by the product of
+    the variables of the binomials c(u-) x^{u+} - c(u+) x^{u-}, u in a
+    basis of L = ker_Z(A), where c(v) is the coefficient of the image of
+    x^v (Sturmfels, Groebner Bases and Convex Polytopes, Lemma 12.2).
+    The kernel must be homogeneous (ValueError otherwise); max_steps caps
+    each Groebner run of the saturation.
     """
     field = source_ring.field
-    comb = PolyRing(
-        field, source_ring.variables + target_ring.variables
-    )
-    ns, nt = source_ring.nvars, target_ring.nvars
-    gens = []
-    for i, name in enumerate(source_ring.variables):
-        image = monomial_map[name]
-        if isinstance(image, MultiPoly):
-            if not image.is_monomial():
-                raise ValueError("images must be monomials")
-            ((texp, tc),) = image.terms.items()
-        else:
-            texp = tuple(image)
-            tc = field.one()
-        if sum(texp) == 0:
-            raise ValueError("images must be nonconstant monomials")
-        src_exp = [0] * ns
-        src_exp[i] = 1
-        gens.append(
-            comb.from_terms(
-                [
-                    (tuple(src_exp) + (0,) * nt, field.one()),
-                    ((0,) * ns + texp, field.neg(tc)),
-                ]
-            )
-        )
-    elim = eliminate(IdealHandle(comb, gens), list(target_ring.variables),
-                     max_steps=max_steps)
-    out = [MultiPoly(source_ring, dict(g.terms)) for g in elim.generators]
-    return IdealHandle(source_ring, out)
+    images = [monomial_map[name] for name in source_ring.variables]
+    images = [f if isinstance(f, MultiPoly) else target_ring.monomial(f) for f in images]
+    if not all(f.is_monomial() for f in images):
+        raise ValueError("images must be monomials")
+    exps, coeffs = zip(*(next(iter(f.terms.items())) for f in images))
+
+    def coeff(v):
+        return reduce(field.mul, [c for c, k in zip(coeffs, v) for _ in range(k)],
+                      field.one())
+
+    binomials = []
+    for u in _integer_kernel(exps):
+        plus, minus = tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u)
+        binomials.append(source_ring.from_terms(
+            [(plus, coeff(minus)), (minus, field.neg(coeff(plus)))]))
+    basis, _ = saturate(IdealHandle(source_ring, binomials), max_steps=max_steps)
+    return IdealHandle(source_ring, basis)
 
 
 # -- Hilbert series degree ------------------------------------------------

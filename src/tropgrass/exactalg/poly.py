@@ -59,9 +59,6 @@ class PolyRing:
                 acc[exp] = s
         return MultiPoly(self, acc)
 
-    def with_field(self, field):
-        return PolyRing(field, self.variables)
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyRing)
@@ -131,9 +128,6 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def coeff(self, exp):
         return self.terms.get(tuple(exp), self.ring.field.zero())
 
@@ -196,11 +190,6 @@ class MultiPoly:
         if c == self.ring.field.zero():
             return self.ring.zero()
         return MultiPoly(self.ring, {(0,) * self.ring.nvars: c})
-
-    def map_field(self, field):
-        """Reinterpret coefficients in another field (e.g. reduce Q -> GF(p))."""
-        ring = self.ring.with_field(field)
-        return ring.from_terms((e, field(c)) for e, c in self.terms.items())
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

@@ -79,15 +79,6 @@ def splits_compatible(s: Split, t: Split) -> bool:
     )
 
 
-def E_AB(split: Split) -> dict:
-    """The cone generator E_{A,B}: indicator of separated pairs."""
-    return {
-        (i, j): 1
-        for (i, j) in combinations(range(1, split.n + 1), 2)
-        if split.separates(i, j)
-    }
-
-
 class SemiLabeledTree:
     """A semi-labeled tree: compatible splits with positive lengths,
     plus rational leaf offsets (defined modulo image(phi))."""

@@ -547,11 +547,13 @@ def test_criterion_09_g37_characteristic_dependence():
                 continue
             assert res.free == expected_free, label
         if timed_out:
-            print(
-                "  criterion 9 budget note: monomial-freeness timed out for "
-                + ", ".join(timed_out)
+            note = (
+                "criterion 9 budget note: monomial-freeness timed out for "
+                + " and ".join(timed_out)
                 + "; fallback suite (stage 2) passed"
             )
+            ACCEPTANCE_LINES.append(note)
+            print(note)
         assert not problems, "; ".join(problems)
 
 

@@ -149,6 +149,19 @@ def test_groebner_degree_and_budget(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["treespace", "verify-initial", "--n", "6", "--budget", "3"], 3),
+        (["sagbi", "demo", "--budget", "50"], 50),
+    ],
+)
+def test_budget_exhaustion_is_reported(argv, budget, tmp_path, capsys):
+    assert run(argv + ["--output", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"budget exhausted: S-pair budget {budget} exhausted\n"
+
+
 def test_groebner_initial_with_weight(tmp_path):
     w = PlueckerVector(2, 4, {(1, 3): -1, (2, 4): -1})
     w_path = tmp_path / "w.json"

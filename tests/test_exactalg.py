@@ -1,6 +1,7 @@
 """Exact polynomial algebra: fields, rings, orders, Groebner engine,
 initial ideals, Pluecker machinery, valuation certificates."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -43,7 +44,9 @@ from tropgrass.exactalg import (
     weight_order,
 )
 from tropgrass.exactalg import ideals
-from tropgrass.exactalg.plucker import FANO_COLUMNS, TPolyMatrix
+from tropgrass.cli import SAGBI_WEIGHTS
+from tropgrass.complexes import _smith_factors
+from tropgrass.exactalg.plucker import FANO_COLUMNS, TPolyMatrix, _generic_minor
 from tropgrass.minplus import tropical_minors
 from tropgrass.pvector import INF, PlueckerVector, d_subsets, subset_key
 from tropgrass.treespace import (
@@ -212,6 +215,78 @@ def test_toric_kernel_signed_images():
     tgt = PolyRing(QQ, ["s"])
     ker = toric_kernel({"a": tgt.parse("s"), "b": tgt.parse("-s")}, src, tgt)
     assert ker.equals(IdealHandle(src, [src.parse("a + b")]))
+
+
+def _elimination_kernel(monomial_map, source_ring, target_ring):
+    """Reference toric kernel: x_i - image_i in the ring of both variable
+    sets, target variables eliminated."""
+    comb = PolyRing(source_ring.field, source_ring.variables + target_ring.variables)
+    ns, nt = source_ring.nvars, target_ring.nvars
+    gens = []
+    for i, name in enumerate(source_ring.variables):
+        ((texp, tc),) = monomial_map[name].terms.items()
+        gens.append(comb.from_terms([
+            (tuple(int(j == i) for j in range(ns)) + (0,) * nt, 1),
+            ((0,) * ns + texp, comb.field.neg(tc)),
+        ]))
+    elim = eliminate(IdealHandle(comb, gens), list(target_ring.variables))
+    return IdealHandle(source_ring, [MultiPoly(source_ring, dict(g.terms))
+                                     for g in elim.generators])
+
+
+def test_toric_kernel_matches_elimination():
+    rng = random.Random(12)
+    for trial in range(60):
+        field = (QQ, GF(2), GF(3), GF(5))[trial % 4]
+        ns, nt, deg = rng.randint(3, 6), rng.randint(1, 3), rng.randint(1, 4)
+        src = PolyRing(field, [f"x{i}" for i in range(ns)])
+        tgt = PolyRing(field, [f"t{i}" for i in range(nt)])
+        exps = [e for e in itertools.product(range(deg + 1), repeat=nt)
+                if sum(e) == deg]
+        # distinct images where there are enough, so the kernel is not linear
+        exps = rng.sample(exps, ns) if len(exps) >= ns else rng.choices(exps, k=ns)
+        images = {}
+        for name, exp in zip(src.variables, exps):
+            c = rng.choice([-3, -2, -1, 1, 2, 3, Fraction(1, 2)]) if field == QQ \
+                else rng.randrange(1, field.characteristic)
+            images[name] = tgt.monomial(exp, c)
+        ker = toric_kernel(images, src, tgt)
+        assert ker.equals(_elimination_kernel(images, src, tgt)), (trial, images)
+
+
+def test_integer_kernel_is_a_saturated_lattice_basis():
+    rng = random.Random(3)
+    for _ in range(300):
+        n, m = rng.randint(1, 7), rng.randint(1, 4)
+        vectors = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        if rng.random() < 0.3:  # force a dependent column
+            i, j = rng.randrange(n), rng.randrange(n)
+            vectors[i] = [2 * x for x in vectors[j]]
+        basis = ideals._integer_kernel(vectors)
+        for u in basis:
+            assert all(sum(uj * a[k] for uj, a in zip(u, vectors)) == 0
+                       for k in range(m))
+        assert len(basis) == n - len(_smith_factors(vectors))
+        # invariant factors all 1: the basis spans all of ker_Z, no sublattice
+        assert _smith_factors(basis) == [1] * len(basis)
+
+
+def test_toric_kernel_rejects_inhomogeneous_kernel():
+    src = PolyRing(QQ, ["a", "b"])
+    tgt = PolyRing(QQ, ["s"])
+    with pytest.raises(ValueError):
+        toric_kernel({"a": tgt.parse("s"), "b": tgt.parse("s^2")}, src, tgt)
+
+
+def test_toric_kernel_budget():
+    ring = plucker_ring(3, 6)
+    mring = generic_matrix_ring(3, 6)
+    flat = [q for row in SAGBI_WEIGHTS for q in row]
+    mono_map = {"p_" + "".join(map(str, S)):
+                initial_form(_generic_minor(mring, 3, 6, S), flat)
+                for S in d_subsets(3, 6)}
+    with pytest.raises(StepBudgetExceeded):
+        toric_kernel(mono_map, ring, mring, max_steps=1)
 
 
 # -- initial ideals and monomial-freeness --------------------------------

@@ -1,22 +1,25 @@
-"""Buchberger's algorithm with Gebauer-Moller pair elimination.
+"""Buchberger's algorithm with Gebauer-Moller pair elimination, over Q
+and GF(p).
 
-Internally polynomials are flattened to dicts {exponent: int} with
-content-free integer coefficients over Q (cross-multiplication instead of
-rational division) or ints over GF(p).  The public entry points speak
+Internally polynomials are flattened to dicts {exponent: int}.  Only
+`_normalize` decides the coefficient form: content-free with a positive
+leading coefficient over Q (cross-multiplication instead of rational
+division), monic residues over GF(p).  Every other step runs the same
+integer arithmetic in every characteristic.  The public entry points speak
 MultiPoly.
 
-Weighted orders are only degree-wise total, so they are valid term orders
-on homogeneous input; callers passing inhomogeneous generators must use a
-weight-free (global) order.  `buchberger` enforces this.
+Weight orders with a positive entry are only degree-wise total, so they
+are valid term orders on homogeneous input; callers passing inhomogeneous
+generators must use a global order.  `buchberger` enforces this.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .poly import MultiPoly, PolyRing
+from .scalars import PrimeField, RationalField
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -31,69 +34,52 @@ class StepBudgetExceeded(RuntimeError):
 
 
 def _flatten(poly: MultiPoly, order):
-    """MultiPoly -> (sorted term list, leading exp), integer-normalized."""
-    if poly.is_zero():
-        return None
-    field = poly.ring.field
-    if field.characteristic == 0:
-        denom = 1
-        for c in poly.terms.values():
-            f = Fraction(c)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        ints = {e: int(c * denom) for e, c in poly.terms.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        lead = max(ints, key=order.key)
-        if ints[lead] < 0:
-            g = -g
-        terms = {e: v // g for e, v in ints.items()}
+    """Nonzero MultiPoly -> normalized flat (terms, lead) with int
+    coefficients: denominators cleared over Q, residues mod p over GF(p)."""
+    char = poly.ring.field.characteristic
+    if char:
+        terms = {e: c % char for e, c in poly.terms.items()}
     else:
-        p = field.characteristic
-        terms = {e: c % p for e, c in poly.terms.items() if c % p}
-        if not terms:
-            return None
-        lead = max(terms, key=order.key)
-        inv = pow(terms[lead], -1, p)
-        terms = {e: (c * inv) % p for e, c in terms.items()}
-    return terms, lead
+        denom = lcm(*(c.denominator for c in poly.terms.values()))
+        terms = {e: int(c * denom) for e, c in poly.terms.items()}
+    return _normalize(terms, max(terms, key=order.key), char)
 
 
 def _normalize(terms, lead, char):
     """Normalize a flat poly: primitive/positive over Z, monic over GF(p)."""
-    if char == 0:
-        g = 0
-        for v in terms.values():
-            g = gcd(g, v)
-        if g == 0:
-            return None
+    if char:
+        inv = pow(terms[lead], -1, char)
+        if inv != 1:
+            terms = {e: (v * inv) % char for e, v in terms.items()}
+    else:
+        g = gcd(*terms.values())
         if terms[lead] < 0:
             g = -g
         if g != 1:
             terms = {e: v // g for e, v in terms.items()}
-    else:
-        lc = terms[lead] % char
-        if lc != 1:
-            inv = pow(lc, -1, char)
-            terms = {e: (v * inv) % char for e, v in terms.items()}
     return terms, lead
 
 
-def _reduce(terms, order, basis, char, scale=None):
-    """Full normal form of a flat term dict against flat basis entries.
+def _reduce(terms, order, basis, char):
+    """Full normal form of a flat term dict against normalized flat basis
+    entries (list of (terms, lead_exp)).
 
-    basis: list of (terms, lead_exp).  Returns a flat dict (possibly empty).
-    scale: mutable [int] or None.  When given, accumulates the factor the
-    input was multiplied by (fraction-free reduction over Z) and the final
-    content normalization is skipped, so result == scale[0] * NF(input).
+    The reduction is fraction-free: returns (remainder, scale) with
+    remainder == scale * NF(input), the remainder's coefficients read mod
+    char.  Over GF(p) every basis entry is monic, so the scale stays 1.
     """
     key = order.key
     result = {}
     rest = dict(terms)
+    scale = 1
     blead = [(b[1], b[0]) for b in basis]
     while rest:
         exp = max(rest, key=key)
         c = rest.pop(exp)
+        if char:
+            c %= char
+            if not c:
+                continue
         reducer = None
         for lexp, bterms in blead:
             ok = True
@@ -109,77 +95,53 @@ def _reduce(terms, order, basis, char, scale=None):
             continue
         lexp, bterms = reducer
         shift = tuple(b - a for a, b in zip(lexp, exp))
-        if char == 0:
-            lc = bterms[lexp]
-            g = gcd(lc, c)
-            mult_all = abs(lc // g)
-            mult_b = c // g if lc > 0 else -(c // g)
-            if mult_all != 1:
-                for e in rest:
-                    rest[e] *= mult_all
-                for e in result:
-                    result[e] *= mult_all
-                if scale is not None:
-                    scale[0] *= mult_all
-            for e, v in bterms.items():
-                if e == lexp:
-                    continue
-                ne = tuple(a + s for a, s in zip(e, shift))
-                nv = rest.get(ne, 0) - mult_b * v
-                if nv:
-                    rest[ne] = nv
-                else:
-                    rest.pop(ne, None)
-        else:
-            for e, v in bterms.items():
-                if e == lexp:
-                    continue
-                ne = tuple(a + s for a, s in zip(e, shift))
-                nv = (rest.get(ne, 0) - c * v) % char
-                if nv:
-                    rest[ne] = nv
-                else:
-                    rest.pop(ne, None)
-    if char == 0 and result and scale is None:
-        g = 0
-        for v in result.values():
-            g = gcd(g, v)
-        lead = max(result, key=key)
-        if result[lead] < 0:
-            g = -g
-        if g not in (0, 1):
-            result = {e: v // g for e, v in result.items()}
-    return result
+        lc = bterms[lexp]
+        g = gcd(lc, c)
+        mult_all = abs(lc // g)
+        mult_b = c // g if lc > 0 else -(c // g)
+        if mult_all != 1:
+            for e in rest:
+                rest[e] *= mult_all
+            for e in result:
+                result[e] *= mult_all
+            scale *= mult_all
+        for e, v in bterms.items():
+            if e == lexp:
+                continue
+            ne = tuple(a + s for a, s in zip(e, shift))
+            nv = rest.get(ne, 0) - mult_b * v
+            if nv:
+                rest[ne] = nv
+            else:
+                rest.pop(ne, None)
+    return result, scale
 
 
-def _spoly(f, g, char):
-    """S-polynomial of flat entries f=(terms, lead), g=(terms, lead)."""
+def _spoly(f, g):
+    """S-polynomial of normalized flat entries f=(terms, lead), g=(terms, lead).
+
+    Over GF(p) both leads are 1, so both multipliers are 1 and every
+    coefficient lies strictly between -p and p: a zero mod p is a zero.
+    """
     fterms, flead = f
     gterms, glead = g
     lcm_exp = tuple(max(a, b) for a, b in zip(flead, glead))
     fshift = tuple(l - a for l, a in zip(lcm_exp, flead))
     gshift = tuple(l - a for l, a in zip(lcm_exp, glead))
+    fc, gc = fterms[flead], gterms[glead]
+    d = gcd(fc, gc)
+    fm, gm = gc // d, fc // d
     out = {}
-    if char == 0:
-        fc, gc = fterms[flead], gterms[glead]
-        d = gcd(fc, gc)
-        fm, gm = gc // d, fc // d
-    else:
-        fm, gm = 1, 1
     for e, v in fterms.items():
         ne = tuple(a + s for a, s in zip(e, fshift))
         out[ne] = out.get(ne, 0) + fm * v
     for e, v in gterms.items():
         ne = tuple(a + s for a, s in zip(e, gshift))
         nv = out.get(ne, 0) - gm * v
-        if char:
-            nv %= char
         if nv:
             out[ne] = nv
         else:
             out.pop(ne, None)
-    if char:
-        out = {e: v % char for e, v in out.items() if v % char}
     return out
 
 
@@ -208,18 +170,13 @@ def buchberger(generators, order, max_steps=None):
         for g in generators:
             if not g.is_zero() and not g.is_homogeneous():
                 raise ValueError(
-                    "weighted/elimination orders require homogeneous generators"
+                    "weight orders with a positive entry require homogeneous"
+                    " generators"
                 )
-    char = 0
-    flats = []
-    for g in generators:
-        if not g.is_zero():
-            char = g.ring.field.characteristic
-            fl = _flatten(g, order)
-            if fl is not None:
-                flats.append(fl)
+    flats = [_flatten(g, order) for g in generators if not g.is_zero()]
     if not flats:
         return []
+    char = generators[0].ring.field.characteristic
     flats.sort(key=lambda f: (sum(f[1]), order.key(f[1])))
 
     key = order.key
@@ -283,7 +240,7 @@ def buchberger(generators, order, max_steps=None):
             push_pair(i, new_idx)
 
     for f in flats:
-        red = _reduce(f[0], order, basis, char)
+        red, _ = _reduce(f[0], order, basis, char)
         if red:
             lead = max(red, key=key)
             update(_normalize(red, lead, char))
@@ -299,10 +256,10 @@ def buchberger(generators, order, max_steps=None):
             raise StepBudgetExceeded(
                 f"S-pair budget {max_steps} exhausted", partial=list(basis)
             )
-        s = _spoly(basis[i], basis[j], char)
+        s = _spoly(basis[i], basis[j])
         if not s:
             continue
-        red = _reduce(s, order, basis, char)
+        red, _ = _reduce(s, order, basis, char)
         if red:
             lead = max(red, key=key)
             update(_normalize(red, lead, char))
@@ -326,7 +283,7 @@ def _interreduce(basis, order, char):
     reduced = []
     for i, (terms, lead) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        red = _reduce(terms, order, others, char)
+        red, _ = _reduce(terms, order, others, char)
         lead = max(red, key=order.key)
         reduced.append(_normalize(red, lead, char))
     reduced.sort(key=lambda f: (sum(f[1]), order.key(f[1])))
@@ -334,11 +291,20 @@ def _interreduce(basis, order, char):
 
 
 def _unflatten(ring: PolyRing, flat):
+    """Flat (terms, lead) -> monic MultiPoly over ring's field."""
     terms, lead = flat
-    if ring.field.characteristic == 0:
-        lc = Fraction(terms[lead])
-        return MultiPoly(ring, {e: Fraction(v) / lc for e, v in terms.items()})
-    return MultiPoly(ring, dict(terms))
+    field = ring.field
+    inv = field.inv(field(terms[lead]))
+    return MultiPoly(ring, {e: field.mul(field(v), inv) for e, v in terms.items()})
+
+
+def _characteristic(ring: PolyRing):
+    """The characteristic of ring's field, which must be Q or GF(p)."""
+    if not isinstance(ring.field, (RationalField, PrimeField)):
+        raise ValueError(
+            f"Groebner computations run over QQ and GF(p), not {ring.field}"
+        )
+    return ring.field.characteristic
 
 
 def reduced_groebner_basis(generators, order, max_steps=None):
@@ -347,7 +313,7 @@ def reduced_groebner_basis(generators, order, max_steps=None):
     if not gens:
         return []
     ring = gens[0].ring
-    char = ring.field.characteristic
+    char = _characteristic(ring)
     gb = buchberger(gens, order, max_steps=max_steps)
     gb = _interreduce(gb, order, char)
     return [_unflatten(ring, f) for f in gb]
@@ -355,28 +321,18 @@ def reduced_groebner_basis(generators, order, max_steps=None):
 
 def normal_form(f: MultiPoly, basis, order):
     """Remainder of f on division by basis (a list of MultiPoly)."""
+    ring = f.ring
+    char = _characteristic(ring)
     if f.is_zero():
         return f
-    ring = f.ring
-    char = ring.field.characteristic
-    flat_basis = []
-    for g in basis:
-        fl = _flatten(g, order)
-        if fl is not None:
-            flat_basis.append(fl)
-    flat = _flatten(f, order)
-    if flat is None:
-        return ring.zero()
-    scale = [1]
-    red = _reduce(flat[0], order, flat_basis, char, scale=scale)
-    if not red:
-        return ring.zero()
-    # _flatten rescaled f and _reduce multiplied through by scale[0];
-    # undo both so that f - normal_form(f) lies in the ideal with exact
+    flat_basis = [_flatten(g, order) for g in basis if not g.is_zero()]
+    flat_terms, flat_lead = _flatten(f, order)
+    red, scale = _reduce(flat_terms, order, flat_basis, char)
+    # _flatten rescaled f and _reduce multiplied through by scale; undo
+    # both so that f - normal_form(f) lies in the ideal with exact
     # coefficients (linearity of NF).
-    flat_terms, flat_lead = flat
-    if char == 0:
-        factor = Fraction(f.terms[flat_lead]) / (flat_terms[flat_lead] * scale[0])
-        return MultiPoly(ring, {e: Fraction(v) * factor for e, v in red.items()})
-    factor = (f.terms[flat_lead] % char) * pow(flat_terms[flat_lead], -1, char)
-    return MultiPoly(ring, {e: (v * factor) % char for e, v in red.items()})
+    field = ring.field
+    factor = field.mul(
+        f.terms[flat_lead], field.inv(field(flat_terms[flat_lead] * scale))
+    )
+    return MultiPoly(ring, {e: field.mul(field(v), factor) for e, v in red.items()})

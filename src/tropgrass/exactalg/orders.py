@@ -21,40 +21,26 @@ def _integerize(weight):
 
 
 class TermOrder:
-    """Weight order refined by degrevlex, with an optional elimination block.
+    """Weight order refined by degrevlex.
 
     ``key(exp)`` returns a tuple; larger key = greater monomial = closer
     to leading.  Components, in comparison order:
 
-    1. (only if eliminating) total degree in the eliminated variables, so
-       any monomial touching them beats every monomial that avoids them;
-       a Groebner basis under this order intersects the subring cleanly;
-    2. negated w-weight, so minimal-weight terms lead;
-    3. degrevlex on the fixed variable order.
+    1. negated w-weight, so minimal-weight terms lead;
+    2. degrevlex on the fixed variable order.
     """
 
-    def __init__(self, weight, nvars=None, eliminate=()):
-        if weight is None:
-            if nvars is None:
-                raise ValueError("need nvars when weight is None")
-            weight = (0,) * nvars
+    def __init__(self, weight):
         self.weight = tuple(Fraction(x) for x in weight)
         self.nvars = len(self.weight)
         self._iw = _integerize(self.weight)
-        self.eliminate = tuple(sorted(eliminate))
-        self._elim_set = frozenset(self.eliminate)
         self._cache = {}
 
     def key(self, exp):
         k = self._cache.get(exp)
         if k is None:
             wdot = sum(a * b for a, b in zip(exp, self._iw))
-            grevlex = (sum(exp), tuple(-e for e in reversed(exp)))
-            if self._elim_set:
-                block = sum(exp[i] for i in self.eliminate)
-                k = (block, -wdot, grevlex)
-            else:
-                k = (-wdot, grevlex)
+            k = (-wdot, (sum(exp), tuple(-e for e in reversed(exp))))
             self._cache[exp] = k
         return k
 
@@ -71,30 +57,25 @@ class TermOrder:
 
     def is_degree_compatible(self) -> bool:
         """True if this is a global term order (1 is the least monomial),
-        hence usable on inhomogeneous input.  The elimination block is
-        harmless; only weights that can make some variable beat 1 (i.e.
-        positive entries, given the min convention's negated weight key)
-        break globality.
+        hence usable on inhomogeneous input.  Only weights that can make
+        some variable beat 1 (i.e. positive entries, given the min
+        convention's negated weight key) break globality.
         """
         return all(x <= 0 for x in self.weight)
 
-    def _ident(self):
-        return (self._iw, self.eliminate)
-
     def __eq__(self, other):
-        return isinstance(other, TermOrder) and other._ident() == self._ident()
+        return isinstance(other, TermOrder) and other._iw == self._iw
 
     def __hash__(self):
-        return hash(self._ident())
+        return hash(self._iw)
 
     def __repr__(self):
-        tag = f", eliminate={self.eliminate}" if self.eliminate else ""
         wtag = "0" if all(x == 0 for x in self.weight) else str(list(self.weight))
-        return f"TermOrder(w={wtag}{tag})"
+        return f"TermOrder(w={wtag})"
 
 
 def degrevlex(nvars: int) -> TermOrder:
-    return TermOrder(None, nvars=nvars)
+    return TermOrder((0,) * nvars)
 
 
 def weight_order(weight) -> TermOrder:
@@ -107,4 +88,13 @@ def weight_order(weight) -> TermOrder:
 
 
 def elimination_order(nvars: int, eliminate) -> TermOrder:
-    return TermOrder(None, nvars=nvars, eliminate=eliminate)
+    """Weight -1 on the eliminated variables: a monomial of higher degree
+    in them beats every monomial of lower degree, and ties fall to
+    degrevlex.  A Groebner basis under this order meets the subring of
+    the remaining variables in a Groebner basis of the elimination ideal
+    (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, 3.1).
+    """
+    weight = [0] * nvars
+    for i in eliminate:
+        weight[i] = -1
+    return TermOrder(weight)

@@ -189,27 +189,28 @@ class TropMatrix:
         """Submatrix on 1-based column indices."""
         return TropMatrix([[row[c - 1] for c in cols] for row in self.entries])
 
-    def tropical_determinant(self):
-        """min over permutations sigma of sum_r M[r, sigma(r)]."""
-        if self.nrows != self.ncols:
-            raise ValueError("tropical determinant needs a square matrix")
+    def _finite_permutation_sums(self):
+        """Yield sum_r M[r, sigma(r)] for every permutation sigma that
+        meets no infinite entry (square matrices up to MAX_DET)."""
         if self.nrows > self.MAX_DET:
             raise ValueError(
                 f"direct enumeration limited to {self.MAX_DET}x{self.MAX_DET}"
             )
-        best = INF
         for perm in permutations(range(self.nrows)):
             total = Fraction(0)
-            infinite = False
             for r, c in enumerate(perm):
                 v = self.entries[r][c]
                 if v == INF:
-                    infinite = True
                     break
                 total += v
-            if not infinite and total < best:
-                best = total
-        return best
+            else:
+                yield total
+
+    def tropical_determinant(self):
+        """min over permutations sigma of sum_r M[r, sigma(r)]."""
+        if self.nrows != self.ncols:
+            raise ValueError("tropical determinant needs a square matrix")
+        return min(self._finite_permutation_sums(), default=INF)
 
     def tropical_minors(self) -> PlueckerVector:
         """PlueckerVector of tropical maximal-minor values (d = nrows)."""
@@ -228,16 +229,8 @@ class TropMatrix:
         if det == INF:
             return True
         count = 0
-        for perm in permutations(range(self.nrows)):
-            total = Fraction(0)
-            infinite = False
-            for r, c in enumerate(perm):
-                v = self.entries[r][c]
-                if v == INF:
-                    infinite = True
-                    break
-                total += v
-            if not infinite and total == det:
+        for total in self._finite_permutation_sums():
+            if total == det:
                 count += 1
                 if count >= 2:
                     return True

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 INF = float("inf")
 
@@ -97,28 +98,26 @@ class PlueckerVector:
     def reduce_mod_phi(self):
         """Canonical representative modulo image(phi).
 
-        Subtracts phi(a*) where a* is the least-squares preimage, computed
+        Subtracts phi(x) where x is the least-squares preimage, computed
         exactly over Q; two vectors agree modulo image(phi) iff their
-        reductions are equal.  Requires all coordinates finite.
+        reductions are equal.  Requires all coordinates finite and
+        2 <= d < n.
+
+        The Gram matrix of phi's columns is aI + bJ with a = C(n-2, d-1)
+        and b = C(n-2, d-2), so for r = phi^T(self) the preimage is
+        x = (r - b * sum(r) / (a + n*b)) / a.
         """
         if not self.is_finite():
             raise ValueError("cannot reduce a vector with infinite coordinates")
         n, d = self.n, self.d
-        # Gram matrix of phi columns: diag C(n-1,d-1), offdiag C(n-2,d-2)
-        from math import comb
-
-        gram = [
-            [
-                Fraction(comb(n - 1, d - 1) if i == j else comb(n - 2, d - 2))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        rhs = [
+        if not 2 <= d < n:
+            raise ValueError("reduce_mod_phi needs 2 <= d < n")
+        a, b = comb(n - 2, d - 1), comb(n - 2, d - 2)
+        r = [
             sum(self.coords[S] for S in self.subsets if i + 1 in S) for i in range(n)
         ]
-        a = _solve(gram, rhs)
-        return self - phi(a, d)
+        shift = b * sum(r) / (a + n * b)
+        return self - phi([(ri - shift) / a for ri in r], d)
 
     def equals_mod_phi(self, other) -> bool:
         return self.reduce_mod_phi() == other.reduce_mod_phi()
@@ -149,22 +148,6 @@ class PlueckerVector:
     def __repr__(self):
         nz = {subset_key(S): str(v) for S, v in self.coords.items() if v != 0}
         return f"PlueckerVector(d={self.d}, n={self.n}, {nz})"
-
-
-def _solve(matrix, rhs):
-    """Solve a square rational linear system by Gaussian elimination."""
-    n = len(matrix)
-    A = [row[:] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [A[i][n] for i in range(n)]
 
 
 def basis_vector(d: int, n: int, *subsets):

@@ -132,6 +132,14 @@ def test_plane_reconstruct(tmp_path):
     assert all(c["pass"] for c in report["claims"])
 
 
+@pytest.mark.parametrize("d, n", [(1, 4), (4, 4)])
+def test_plane_reconstruct_rejects_d_outside_range(d, n, tmp_path, capsys):
+    w_path = tmp_path / "w.json"
+    w_path.write_text(PlueckerVector(d, n, {}).to_json())
+    assert run(["plane", "reconstruct", "--w", str(w_path)]) == 1
+    assert capsys.readouterr().err == "error: reduce_mod_phi needs 2 <= d < n\n"
+
+
 def test_groebner_degree_and_budget(tmp_path):
     out = tmp_path / "report.json"
     code = run(

@@ -150,10 +150,13 @@ def test_membership_and_normal_form():
     assert I.contains(R.parse("x^2") - nf)
 
 
-@given(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))
-@settings(max_examples=30, deadline=None)
-def test_normal_form_is_linear(a, b, c):
-    R = PolyRing(QQ, ["x", "y"])
+@given(
+    st.sampled_from([QQ, GF(3), GF(5)]),
+    st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_normal_form_is_linear(field, a, b, c):
+    R = PolyRing(field, ["x", "y"])
     I = IdealHandle(R, [R.parse("x^2 - y")])
     f = R.parse("x") ** a
     g = R.parse("y") ** b
@@ -166,6 +169,42 @@ def test_step_budget():
     gens = [R.parse("x*y - z"), R.parse("y*z - x")]
     with pytest.raises(StepBudgetExceeded):
         reduced_groebner_basis(gens, degrevlex(3), max_steps=0)
+
+
+def _elimination_reference(a, b, idx):
+    """Compare exponents a, b (-1, 0, 1): degree in the variables idx
+    first, then degrevlex (total degree, then the last differing
+    exponent, smaller wins)."""
+    for x, y in ((sum(a[i] for i in idx), sum(b[i] for i in idx)), (sum(a), sum(b))):
+        if x != y:
+            return 1 if x > y else -1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
+
+
+def test_elimination_order_matches_reference_comparator():
+    rng = random.Random(3)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        idx = rng.sample(range(n), rng.randint(0, n))
+        order = elimination_order(n, idx)
+        a = tuple(rng.randint(0, 3) for _ in range(n))
+        b = tuple(rng.randint(0, 3) for _ in range(n))
+        ka, kb = order.key(a), order.key(b)
+        assert (ka > kb) - (ka < kb) == _elimination_reference(a, b, idx)
+
+
+def test_groebner_rejects_fields_other_than_q_and_gf_p():
+    R = PolyRing(GF4, ["x", "y"])
+    f = R.from_terms([((1, 0), 1), ((0, 1), 2)])  # x + omega*y
+    with pytest.raises(ValueError, match="QQ and GF\\(p\\)"):
+        reduced_groebner_basis([f], degrevlex(2))
+    with pytest.raises(ValueError, match="QQ and GF\\(p\\)"):
+        normal_form(R.parse("x"), [f], degrevlex(2))
+    with pytest.raises(ValueError, match="QQ and GF\\(p\\)"):
+        IdealHandle(R, [f]).contains(R.parse("x"))
 
 
 def test_groebner_over_gf2():
@@ -181,11 +220,12 @@ def test_groebner_over_gf2():
 
 
 def test_eliminate_parametrized_curve():
-    R = PolyRing(QQ, ["t", "x", "y"])
-    I = IdealHandle(R, [R.parse("x - t^2"), R.parse("y - t^3")])
-    J = eliminate(I, ["t"])
-    assert J.ring.variables == ("x", "y")
-    assert J.equals(IdealHandle(J.ring, [J.ring.parse("x^3 - y^2")]))
+    for field in (QQ, GF(2), GF(3)):
+        R = PolyRing(field, ["t", "x", "y"])
+        I = IdealHandle(R, [R.parse("x - t^2"), R.parse("y - t^3")])
+        J = eliminate(I, ["t"])
+        assert J.ring.variables == ("x", "y")
+        assert J.equals(IdealHandle(J.ring, [J.ring.parse("x^3 - y^2")]))
 
 
 def test_intersection_of_coordinate_ideals():

@@ -1,5 +1,6 @@
 """Pluecker vectors, the map phi, and reduction modulo its image."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,37 @@ def test_equals_mod_phi_invariance(a, coords):
     shifted = w + phi(a, 2)
     assert w.equals_mod_phi(shifted)
     assert w.reduce_mod_phi() == shifted.reduce_mod_phi()
+
+
+def _gauss_solve(matrix, rhs):
+    """Reference: solve a square rational system by Gaussian elimination."""
+    n = len(matrix)
+    A = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if A[r][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        pv = A[col][col]
+        A[col] = [x / pv for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return [A[i][n] for i in range(n)]
+
+
+def test_reduce_mod_phi_matches_gram_solve():
+    """The closed form against solving the normal equations of phi."""
+    rng = random.Random(5)
+    for n in range(3, 9):
+        for d in range(2, n):
+            subsets = d_subsets(d, n)
+            gram = [[sum(i in S and j in S for S in subsets) for j in range(1, n + 1)]
+                    for i in range(1, n + 1)]
+            for _ in range(3):
+                w = PlueckerVector(d, n, {S: Fraction(rng.randint(-30, 30), rng.randint(1, 4))
+                                          for S in subsets})
+                rhs = [sum(w[S] for S in w.subsets if i + 1 in S) for i in range(n)]
+                assert w.reduce_mod_phi() == w - phi(_gauss_solve(gram, rhs), d)
 
 
 def test_infinite_coordinates_block_phi_reduction():

@@ -1,5 +1,7 @@
 """Finite simplicial complexes: f-vectors, links, flag complexes, and
-integral simplicial homology via exact linear algebra."""
+integral simplicial homology via exact linear algebra, with the
+unimodular integer row echelon that the Smith factors and the lattice
+kernels of `exactalg` share."""
 
 from __future__ import annotations
 
@@ -12,7 +14,9 @@ from math import gcd
 class SimplicialComplex:
     """A finite simplicial complex stored by its maximal faces.
 
-    Vertices are hashable labels; faces are frozensets of vertices.
+    Vertices are hashable labels and maximal faces frozensets of them;
+    faces() lists every face as the sorted tuple of its vertices'
+    positions in the str order of the vertices.
     """
 
     def __init__(self, vertices, maximal_faces):
@@ -32,7 +36,6 @@ class SimplicialComplex:
                 kept.append(f)
         self.maximal_faces = kept
         self._faces_by_dim = None
-        self._vertex_pos = None
 
     @classmethod
     def flag(cls, vertices, edges):
@@ -47,18 +50,18 @@ class SimplicialComplex:
         return cls(vertices, cliques + isolated)
 
     def faces(self):
-        """dict: dimension -> sorted list of faces (frozensets)."""
+        """dict: dimension -> sorted list of faces, each the sorted tuple
+        of its vertices' positions in the str order of the vertices."""
         if self._faces_by_dim is None:
+            pos = {v: i for i, v in enumerate(sorted(self.vertices, key=str))}
             seen = set()
             for m in self.maximal_faces:
-                for k in range(1, len(m) + 1):
-                    for f in combinations(sorted(m, key=str), k):
-                        seen.add(frozenset(f))
+                cell = sorted(pos[v] for v in m)
+                for k in range(1, len(cell) + 1):
+                    seen.update(combinations(cell, k))
             by_dim = {}
-            for f in seen:
+            for f in sorted(seen):
                 by_dim.setdefault(len(f) - 1, []).append(f)
-            for d in by_dim:
-                by_dim[d].sort(key=lambda f: sorted(map(str, f)))
             self._faces_by_dim = by_dim
         return self._faces_by_dim
 
@@ -101,21 +104,12 @@ class SimplicialComplex:
 
     # -- homology ---------------------------------------------------------
 
-    def _cells(self, d):
-        """The d-faces in faces_of_dim order, each as the sorted tuple of
-        its vertices' positions in the str order of the vertices."""
-        if self._vertex_pos is None:
-            order = sorted(self.vertices, key=str)
-            self._vertex_pos = {v: i for i, v in enumerate(order)}
-        pos = self._vertex_pos
-        return [tuple(sorted(pos[v] for v in f)) for f in self.faces_of_dim(d)]
-
     def boundary_matrix(self, d):
         """Sparse boundary map C_d -> C_{d-1} with the sorted-vertex
         orientation; columns indexed by d-faces, rows by (d-1)-faces."""
-        lower = {c: i for i, c in enumerate(self._cells(d - 1))}
+        lower = {c: i for i, c in enumerate(self.faces_of_dim(d - 1))}
         cols = []
-        for cell in self._cells(d):
+        for cell in self.faces_of_dim(d):
             col = {}
             sign = 1
             for i in range(len(cell)):
@@ -185,7 +179,8 @@ def _max_cliques(adj):
                 yield frozenset(R)
             return
         pivot = max(P | X, key=lambda u: len(adj[u] & P))
-        for v in [v for v in order if v in P - adj[pivot]]:
+        cand = P - adj[pivot]
+        for v in [v for v in order if v in cand]:
             yield from bk(R | {v}, P & adj[v], X & adj[v])
             P = P - {v}
             X = X | {v}
@@ -263,48 +258,44 @@ def _invariant_factors(cols):
 
 def _smith_factors(a):
     """Nonzero invariant factors of a small dense integer matrix, each
-    dividing the next."""
-    a = [row[:] for row in a]
-    m, n = len(a), len(a[0]) if a else 0
-    factors = []
-    top = 0
-    while top < min(m, n):
-        # find smallest nonzero entry at or below/right of (top, top)
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                v = a[i][j]
-                if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[top], a[bi] = a[bi], a[top]
-        for row in a:
-            row[top], row[bj] = row[bj], row[top]
-        piv = a[top][top]
-        dirty = False
-        for i in range(top + 1, m):
-            q = a[i][top] // piv
-            if q:
-                for j in range(top, n):
-                    a[i][j] -= q * a[top][j]
-            if a[i][top]:
-                dirty = True
-        for j in range(top + 1, n):
-            q = a[top][j] // piv
-            if q:
-                for i in range(top, m):
-                    a[i][j] -= q * a[i][top]
-            if a[top][j]:
-                dirty = True
-        if dirty:
-            continue
-        factors.append(abs(piv))
-        top += 1
+    dividing the next.
+
+    Row echelon forms of the matrix and of its transpose alternate, zero
+    rows dropped, until it is diagonal (Kannan & Bachem, SIAM J. Comput.
+    8, 1979): each round either shrinks the leading pivot or leaves its
+    row and column clear.
+    """
+    while any(v for i, row in enumerate(a) for j, v in enumerate(row) if i != j):
+        a = [list(col) for col in zip(*a)]
+        del a[integer_echelon(a, len(a[0])):]
+    factors = [abs(row[i]) for i, row in enumerate(a) if i < len(row) and row[i]]
     # a diagonal form; gcd/lcm exchanges turn it into the divisor chain
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             g = gcd(factors[i], factors[j])
             factors[i], factors[j] = g, factors[i] * factors[j] // g
     return factors
+
+
+def integer_echelon(rows, ncols):
+    """Bring the integer rows (lists, changed in place) to row echelon
+    form on their first ncols entries by unimodular row operations: swaps
+    and subtracting integer multiples of one row from another.  Returns
+    the rank r on those columns; rows[:r] hold the pivots, in order, and
+    rows[r:] are zero there.  In each column the row whose entry has the
+    least absolute value becomes the pivot row and the rows below are
+    reduced by it, until the pivot is the only nonzero entry left at or
+    below it.
+    """
+    top = 0
+    for col in range(ncols):
+        while live := [r for r in range(top, len(rows)) if rows[r][col]]:
+            p = min(live, key=lambda r: abs(rows[r][col]))
+            rows[top], rows[p] = rows[p], rows[top]
+            if len(live) == 1:
+                top += 1
+                break
+            for r in range(top + 1, len(rows)):
+                q = rows[r][col] // rows[top][col]
+                rows[r] = [x - q * y for x, y in zip(rows[r], rows[top])]
+    return top

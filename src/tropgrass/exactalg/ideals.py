@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
 
+from ..complexes import integer_echelon
 from .groebner import StepBudgetExceeded, normal_form, reduced_groebner_basis
 from .orders import TermOrder, degrevlex, elimination_order, weight_order
 from .poly import MultiPoly, PolyRing
@@ -254,18 +255,7 @@ def _integer_kernel(vectors):
     """
     n, m = len(vectors), len(vectors[0]) if vectors else 0
     rows = [list(a) + [int(i == j) for j in range(n)] for i, a in enumerate(vectors)]
-    top = 0
-    for col in range(m):
-        while live := [r for r in range(top, n) if rows[r][col]]:
-            p = min(live, key=lambda r: abs(rows[r][col]))
-            rows[top], rows[p] = rows[p], rows[top]
-            if len(live) == 1:
-                top += 1
-                break
-            for r in range(top + 1, n):
-                q = rows[r][col] // rows[top][col]
-                rows[r] = [x - q * y for x, y in zip(rows[r], rows[top])]
-    return [row[m:] for row in rows[top:]]
+    return [row[m:] for row in rows[integer_echelon(rows, m):]]
 
 
 def toric_kernel(monomial_map, source_ring: PolyRing, target_ring: PolyRing,

@@ -101,19 +101,15 @@ def _minimalize_quadrics(polys):
     return kept
 
 
-def plucker_generators(d: int, n: int, field=QQ, minimal=True):
-    """Generators of I_{d,n}: the quadratic exchange relations.
-
-    With minimal=True (default) the set is minimalized by linear algebra
-    in degree 2; for d=2 this yields the C(n,4) three-term relations.
+def plucker_generators(d: int, n: int, field=QQ):
+    """Generators of I_{d,n}: the quadratic exchange relations,
+    minimalized by linear algebra in degree 2; for d=2 these are the
+    C(n,4) three-term relations.
     """
     if d < 2 or d >= n:
         raise ValueError("need 2 <= d < n")
     ring = plucker_ring(d, n, field)
-    polys = [_to_poly(ring, rel) for rel in _exchange_relations(d, n)]
-    if minimal:
-        polys = _minimalize_quadrics(polys)
-    return polys
+    return _minimalize_quadrics([_to_poly(ring, rel) for rel in _exchange_relations(d, n)])
 
 
 def three_term_quadric(ring: PolyRing, i, j, k, l) -> MultiPoly:

@@ -115,7 +115,7 @@ class QuarticField:
     _INV = [None, 1, 3, 2]
 
     def __call__(self, x):
-        if isinstance(x, Fraction):
+        if isinstance(x, Fraction) and x.denominator != 1:
             if x.denominator % 2 == 0:
                 raise ZeroDivisionError("denominator divisible by 2")
             return x.numerator % 2

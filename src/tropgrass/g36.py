@@ -305,10 +305,6 @@ def orbit_of(face):
     return orbit
 
 
-def link(complex_: SimplicialComplex, face):
-    return complex_.link(face)
-
-
 # -- facet-cone samples ---------------------------------------------------
 
 

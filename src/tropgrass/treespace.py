@@ -526,25 +526,22 @@ def circular_weight(n: int):
     ]
 
 
+def cherries(tree: SemiLabeledTree):
+    """The 2-leaf sides of the tree's splits, each a sorted pair, sorted.
+    In a trivalent tree these are its cherries: the leaf pairs that meet
+    at one internal vertex."""
+    return sorted(tuple(sorted(side)) for s in tree.splits for side in s.sides()
+                  if len(side) == 2)
+
+
 def is_caterpillar(tree: SemiLabeledTree) -> bool:
-    """True iff the splits form a chain of nested segments (up to
-    relabeling): equivalently, every split has a cherry side or the
-    split count is < 2."""
+    """True iff the trivalent tree is a caterpillar: its internal edges
+    form one path.  The internal vertices span a tree whose leaves are
+    the cherries' vertices, so for n >= 4 that holds iff the tree has
+    exactly two cherries."""
     if not tree.is_trivalent():
         raise ValueError("is_caterpillar requires a trivalent tree")
-    if tree.n <= 5:
-        return True
-    # caterpillar iff the splits are totally ordered by refinement on
-    # one side: sort sides-containing-1 by size; chain iff each contains
-    # or is disjoint from ... simplest: pairwise nested-or-disjoint with
-    # a linear chain structure.  A trivalent tree is a caterpillar iff
-    # it has exactly 2 cherries.
-    cherries = 0
-    for pair in combinations(range(1, tree.n + 1), 2):
-        a, b = pair
-        if all(not s.separates(a, b) for s in tree.splits):
-            cherries += 1
-    return cherries == 2
+    return tree.n < 4 or len(cherries(tree)) == 2
 
 
 def random_trivalent_tree(n, rng, max_length=10) -> SemiLabeledTree:

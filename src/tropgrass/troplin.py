@@ -428,21 +428,12 @@ def ci_status_d2(tree) -> CIStatus:
     between two tree points misses the interior of at least one of
     them, so that leaf pair is never separated: the dual (n-2)-plane is
     not a complete intersection.  Caterpillars are left Unknown."""
-    from .treespace import is_caterpillar
+    from .treespace import cherries, is_caterpillar
 
-    n = tree.n
-    if n < 5:
+    if tree.n < 5:
         raise ValueError("need n >= 5 leaves")
-    if len(tree.internal_lengths) != n - 3:
+    if not tree.is_trivalent():
         raise ValueError("complete-intersection test needs a trivalent tree")
     if is_caterpillar(tree):
         return CIStatus("Unknown")
-    cherries = []
-    for split in tree.internal_lengths:
-        small = min((split.A, split.B), key=len)
-        if len(small) == 2:
-            cherries.append(tuple(sorted(small)))
-    cherries.sort()
-    if len(cherries) < 3:
-        raise AssertionError("non-caterpillar trivalent tree must have 3 cherries")
-    return CIStatus("NotCompleteIntersection", tuple(cherries[:3]))
+    return CIStatus("NotCompleteIntersection", tuple(cherries(tree)[:3]))

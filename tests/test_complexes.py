@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from tropgrass.complexes import SimplicialComplex, _invariant_factors, _smith_factors
+from tropgrass.g36 import build_g36
+from tropgrass.treespace import tn_complex
 
 
 def circle():
@@ -82,11 +85,23 @@ def test_containment_and_maximal_face_pruning():
     c = SimplicialComplex([1, 2, 3], [[1, 2, 3], [1, 2], [3]])
     assert len(c.maximal_faces) == 1
     assert c.has_face([1, 3])
-    assert not c.has_face([1, 2, 3, 3]) or True  # duplicate elements collapse
+    assert c.has_face([1, 2, 3, 3])  # duplicate elements collapse
     with pytest.raises(ValueError):
         SimplicialComplex([1, 1], [[1]])
     with pytest.raises(ValueError):
         SimplicialComplex([1], [[2]])
+
+
+def test_boundary_maps_compose_to_zero():
+    for c in (sphere2(), projective_plane(), tn_complex(6), build_g36()):
+        for d in range(2, c.dim() + 1):
+            lower, _ = c.boundary_matrix(d - 1)
+            for col in c.boundary_matrix(d)[0]:
+                total = {}
+                for r, v in col.items():
+                    for k, u in lower[r].items():
+                        total[k] = total.get(k, 0) + v * u
+                assert not any(total.values()), (c, d, col)
 
 
 def test_json_round_trip():
@@ -97,6 +112,56 @@ def test_json_round_trip():
 
 
 # -- the integer elimination ----------------------------------------------
+
+
+def reference_smith_factors(a):
+    """Reference invariant factors of a dense integer matrix, each dividing
+    the next, by row and column operations around the entry of least
+    absolute value; independent of the library's row echelon."""
+    a = [row[:] for row in a]
+    m, n = len(a), len(a[0]) if a else 0
+    factors = []
+    top = 0
+    while top < min(m, n):
+        # find smallest nonzero entry at or below/right of (top, top)
+        best = None
+        for i in range(top, m):
+            for j in range(top, n):
+                v = a[i][j]
+                if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        a[top], a[bi] = a[bi], a[top]
+        for row in a:
+            row[top], row[bj] = row[bj], row[top]
+        piv = a[top][top]
+        dirty = False
+        for i in range(top + 1, m):
+            q = a[i][top] // piv
+            if q:
+                for j in range(top, n):
+                    a[i][j] -= q * a[top][j]
+            if a[i][top]:
+                dirty = True
+        for j in range(top + 1, n):
+            q = a[top][j] // piv
+            if q:
+                for i in range(top, m):
+                    a[i][j] -= q * a[i][top]
+            if a[top][j]:
+                dirty = True
+        if dirty:
+            continue
+        factors.append(abs(piv))
+        top += 1
+    # a diagonal form; gcd/lcm exchanges turn it into the divisor chain
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    return factors
 
 
 def fraction_rank(cols, nrows):
@@ -141,7 +206,7 @@ def test_elimination_invariant_factors_match_smith():
         cols, nrows = random_sparse_matrix(rng)
         dense = [[col.get(r, 0) for col in cols] for r in range(nrows)]
         factors = _invariant_factors(cols)
-        assert factors == _smith_factors(dense)
+        assert factors == _smith_factors(dense) == reference_smith_factors(dense)
         nonunit += any(f != 1 for f in factors)
     assert nonunit > 20  # the residual block is exercised
 
@@ -150,3 +215,8 @@ def test_smith_factors_form_a_divisor_chain():
     assert _smith_factors([[2, 0], [0, 3]]) == [1, 6]
     assert _smith_factors([[4, 0, 0], [0, 6, 0], [0, 0, 0]]) == [2, 12]
     assert _smith_factors([[0, 0]]) == []
+    rng = random.Random(22)
+    for _ in range(300):  # dense, larger entries: many echelon rounds
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)]
+        assert _smith_factors(a) == reference_smith_factors(a), a

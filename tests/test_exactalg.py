@@ -45,7 +45,6 @@ from tropgrass.exactalg import (
 )
 from tropgrass.exactalg import ideals
 from tropgrass.cli import SAGBI_WEIGHTS
-from tropgrass.complexes import _smith_factors
 from tropgrass.exactalg.plucker import FANO_COLUMNS, TPolyMatrix, _generic_minor
 from tropgrass.minplus import tropical_minors
 from tropgrass.pvector import INF, PlueckerVector, d_subsets, subset_key
@@ -55,6 +54,8 @@ from tropgrass.treespace import (
     random_trivalent_tree,
     tree_to_plucker,
 )
+
+from test_complexes import reference_smith_factors
 
 
 # -- scalars --------------------------------------------------------------
@@ -196,6 +197,19 @@ def test_elimination_order_matches_reference_comparator():
         assert (ka > kb) - (ka < kb) == _elimination_reference(a, b, idx)
 
 
+def test_gf4_reads_integral_fractions_as_ints():
+    R = PolyRing(GF4, ["x", "y"])
+    x, y = R.gen(0), R.gen(1)
+    omega_x = R.from_terms([((1, 0), 2)])
+    assert R.parse("x") * 2 == x * Fraction(2) == omega_x
+    assert R.parse("x + 2*y") == x + y * 2 != x
+    assert GF4(Fraction(-1)) == GF4(-1) == 1
+    assert GF4(Fraction(2)) == GF4(2) == 2
+    # the criterion-10 certificate over GF(4) is still found
+    M, _ = fano_certificate_search(GF4, random.Random(0))
+    assert M is not None and plucker_valuations(M) == fano_weight()
+
+
 def test_groebner_rejects_fields_other_than_q_and_gf_p():
     R = PolyRing(GF4, ["x", "y"])
     f = R.from_terms([((1, 0), 1), ((0, 1), 2)])  # x + omega*y
@@ -306,9 +320,9 @@ def test_integer_kernel_is_a_saturated_lattice_basis():
         for u in basis:
             assert all(sum(uj * a[k] for uj, a in zip(u, vectors)) == 0
                        for k in range(m))
-        assert len(basis) == n - len(_smith_factors(vectors))
+        assert len(basis) == n - len(reference_smith_factors(vectors))
         # invariant factors all 1: the basis spans all of ker_Z, no sublattice
-        assert _smith_factors(basis) == [1] * len(basis)
+        assert reference_smith_factors(basis) == [1] * len(basis)
 
 
 def test_toric_kernel_rejects_inhomogeneous_kernel():

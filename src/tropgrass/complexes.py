@@ -106,7 +106,10 @@ class SimplicialComplex:
 
     def boundary_matrix(self, d):
         """Sparse boundary map C_d -> C_{d-1} with the sorted-vertex
-        orientation; columns indexed by d-faces, rows by (d-1)-faces."""
+        orientation; columns indexed by d-faces, rows by (d-1)-faces.
+        For d = 0 it is the zero map C_0 -> 0: the empty face is no cell."""
+        if d == 0:
+            return [{} for _ in self.faces_of_dim(0)], 0
         lower = {c: i for i, c in enumerate(self.faces_of_dim(d - 1))}
         cols = []
         for cell in self.faces_of_dim(d):

@@ -25,6 +25,16 @@ def ext(x):
     return Fraction(x)
 
 
+def finite_point(x, n: int):
+    """Coerce x to a list of n Fractions; evaluation points must be finite."""
+    x = [ext(v) for v in x]
+    if len(x) != n:
+        raise ValueError("point length does not match variable count")
+    if any(v == INF for v in x):
+        raise ValueError("evaluation points must be finite")
+    return x
+
+
 def trop_add(a, b):
     """Tropical sum: min."""
     if a == INF:
@@ -64,46 +74,42 @@ class TropPolynomial:
         if not clean or all(c == INF for c in clean.values()):
             raise ValueError("need at least one finite coefficient")
         self.terms = clean
+        # each finite term with its (index, exponent) pairs of nonzero
+        # exponent, so that evaluation reads only the coordinates it needs
+        self._finite = [
+            (exp, c, tuple((i, e) for i, e in enumerate(exp) if e))
+            for exp, c in clean.items()
+            if c != INF
+        ]
 
     def evaluate(self, x):
         """min over terms of coefficient + <exponent, x>."""
-        x = self._coerce_point(x)
-        best = INF
-        for exp, c in self.terms.items():
-            if c == INF:
-                continue
-            v = c + sum(e * xi for e, xi in zip(exp, x))
-            if v < best:
-                best = v
-        return best
+        return self._argmin(finite_point(x, self.nvars))[0]
 
     def tight_terms(self, x):
         """The set of exponents attaining evaluate(F, x)."""
-        x = self._coerce_point(x)
-        best = None
-        tight = set()
-        for exp, c in self.terms.items():
-            if c == INF:
-                continue
-            v = c + sum(e * xi for e, xi in zip(exp, x))
-            if best is None or v < best:
-                best = v
-                tight = {exp}
-            elif v == best:
-                tight.add(exp)
-        return tight
+        return set(self._argmin(finite_point(x, self.nvars))[1])
 
     def on_hypersurface(self, x) -> bool:
         """x lies on T(F) iff the minimum is attained at least twice."""
-        return len(self.tight_terms(x)) >= 2
+        return len(self._argmin(finite_point(x, self.nvars))[1]) >= 2
 
-    def _coerce_point(self, x):
-        x = [ext(v) for v in x]
-        if len(x) != self.nvars:
-            raise ValueError("point length does not match variable count")
-        if any(v == INF for v in x):
-            raise ValueError("evaluation points must be finite")
-        return x
+    def _argmin(self, point):
+        """The minimum and the list of exponents attaining it, at a point
+        already coerced by finite_point.  Each finite term is evaluated on
+        its own support."""
+        best = None
+        tight = []
+        for exp, c, support in self._finite:
+            v = c
+            for i, e in support:
+                v += point[i] if e == 1 else e * point[i]
+            if best is None or v < best:
+                best = v
+                tight = [exp]
+            elif v == best:
+                tight.append(exp)
+        return best, tight
 
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e, c in self.terms.items() if c != INF}

@@ -9,15 +9,24 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 INF = float("inf")
 
 
+@lru_cache(maxsize=64)
+def subset_tuple(d: int, n: int):
+    """All sorted d-subsets of {1, ..., n}, as one immutable tuple shared
+    by every caller that asks for the same (d, n) among the 64 shapes
+    used last."""
+    return tuple(combinations(range(1, n + 1), d))
+
+
 def d_subsets(d: int, n: int):
-    """All sorted d-subsets of {1, ..., n}."""
-    return list(combinations(range(1, n + 1), d))
+    """All sorted d-subsets of {1, ..., n}, as a new list."""
+    return list(subset_tuple(d, n))
 
 
 def subset_key(subset) -> str:
@@ -43,7 +52,7 @@ class PlueckerVector:
     def __init__(self, d: int, n: int, coords=None):
         self.d = d
         self.n = n
-        self.subsets = d_subsets(d, n)
+        self.subsets = subset_tuple(d, n)
         full = {}
         coords = coords or {}
         for S in self.subsets:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .minplus import TropPolynomial, ext, trop_linear_form
-from .pvector import INF, PlueckerVector, d_subsets
+from .minplus import ext, finite_point, trop_linear_form
+from .pvector import INF, PlueckerVector, d_subsets, subset_tuple
 
 _TYPE_GUARD_D = (2, 3)
 _TYPE_GUARD_N = 7
@@ -88,7 +88,7 @@ class TropicalPlane:
         return self.w.n
 
     def circuit_subsets(self):
-        return d_subsets(self.w.d + 1, self.w.n)
+        return subset_tuple(self.w.d + 1, self.w.n)
 
     def circuits(self):
         """The C(n, d+1) tropical linear forms F_J, J of size d+1, with
@@ -114,10 +114,12 @@ class TropicalPlane:
 
     def contains(self, x):
         """Whether x lies on every circuit hypersurface; returns a
-        truthy/falsy result carrying the first violating circuit."""
-        forms = self.circuits()
-        for J, F in zip(self.circuit_subsets(), forms):
-            if not F.on_hypersurface(x):
+        truthy/falsy result carrying the first violating circuit.  The
+        point is coerced and validated once, also when there are no
+        circuits (d = n)."""
+        x = finite_point(x, self.n)
+        for J, F in zip(self.circuit_subsets(), self.circuits()):
+            if len(F._argmin(x)[1]) < 2:
                 return Membership(False, J)
         return Membership(True, None)
 

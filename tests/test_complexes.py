@@ -92,9 +92,15 @@ def test_containment_and_maximal_face_pruning():
         SimplicialComplex([1], [[2]])
 
 
+def test_boundary_map_in_degree_zero_is_zero():
+    assert SimplicialComplex([1, 2], [[1, 2]]).boundary_matrix(0) == ([{}, {}], 0)
+    s = sphere2()
+    assert s.boundary_matrix(0) == ([{}] * s.f_vector()[0], 0)
+
+
 def test_boundary_maps_compose_to_zero():
     for c in (sphere2(), projective_plane(), tn_complex(6), build_g36()):
-        for d in range(2, c.dim() + 1):
+        for d in range(1, c.dim() + 1):
             lower, _ = c.boundary_matrix(d - 1)
             for col in c.boundary_matrix(d)[0]:
                 total = {}

@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 from tropgrass.minplus import trop_linear_form
-from tropgrass.pvector import INF, PlueckerVector, basis_vector, d_subsets, phi
+from tropgrass.pvector import (
+    INF,
+    PlueckerVector,
+    basis_vector,
+    d_subsets,
+    phi,
+    subset_tuple,
+)
 from tropgrass.treespace import (
     SemiLabeledTree,
     Split,
@@ -107,6 +114,25 @@ def test_membership_invariant_under_global_shift():
     x = [100] + [w[tuple(sorted({1, m}))] for m in range(2, 7)]
     shifted = [v + Fraction(7, 3) for v in x]
     assert shifted in plane
+
+
+def test_plane_without_circuits_still_validates_points():
+    plane = TropicalPlane(PlueckerVector(4, 4, {}))
+    assert plane.circuits() == []
+    assert plane.contains([1, 2, Fraction(1, 3), -4])
+    for bad in ([1, 2], [INF, 0, 0, 0]):
+        with pytest.raises(ValueError):
+            plane.contains(bad)
+
+
+def test_circuits_and_answers_share_the_subset_tuples():
+    w = snowflake_vector()
+    plane = TropicalPlane(w)
+    assert w.subsets is PlueckerVector(2, 6, {}).subsets is subset_tuple(2, 6)
+    assert plane.circuit_subsets() is subset_tuple(3, 6)
+    assert list(plane.circuit_subsets()) == d_subsets(3, 6)
+    bad = plane.contains([0, 0, 0, 1, 2, 4])
+    assert any(bad.violating_circuit is J for J in subset_tuple(3, 6))
 
 
 # -- d-partitions ---------------------------------------------------------

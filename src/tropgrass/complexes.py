@@ -28,12 +28,18 @@ class SimplicialComplex:
         for f in maximal:
             if not f <= vset:
                 raise ValueError(f"face {sorted(f)} uses unknown vertices")
-        # drop faces contained in others
+        # drop faces contained in others: a face can only lie in an equal
+        # kept face or in one of the larger kept faces before it
         maximal.sort(key=len, reverse=True)
-        kept = []
+        kept, seen, larger = [], set(), 0
         for f in maximal:
-            if not any(f <= g for g in kept):
+            if f in seen:
+                continue
+            while larger < len(kept) and len(kept[larger]) > len(f):
+                larger += 1
+            if not any(map(f.issubset, kept[:larger])):
                 kept.append(f)
+                seen.add(f)
         self.maximal_faces = kept
         self._faces_by_dim = None
 

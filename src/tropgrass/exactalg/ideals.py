@@ -4,13 +4,13 @@ intersection, elimination, toric kernels and Hilbert-series degrees."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
+from operator import mul
 
 from ..complexes import integer_echelon
 from .groebner import StepBudgetExceeded, normal_form, reduced_groebner_basis
-from .orders import TermOrder, degrevlex, elimination_order, weight_order
+from .orders import TermOrder, _integerize, degrevlex, elimination_order, weight_order
 from .poly import MultiPoly, PolyRing
 from .scalars import GF, QQ
 
@@ -82,13 +82,18 @@ def initial_form(f: MultiPoly, w) -> MultiPoly:
     """Sum of the terms of f with minimal <exponent, w> (min convention)."""
     if f.is_zero():
         return f
-    w = [Fraction(x) for x in w]
-    if len(w) != f.ring.nvars:
+    iw = _integerize(w)
+    if len(iw) != f.ring.nvars:
         raise ValueError("weight length does not match variable count")
+    return _initial_form(f, iw)
+
+
+def _initial_form(f, iw):
+    """initial_form at a weight scaled to the integers iw."""
     best = None
     chosen = {}
     for exp, c in f.terms.items():
-        wt = sum(a * b for a, b in zip(exp, w))
+        wt = sum(map(mul, exp, iw))
         if best is None or wt < best:
             best = wt
             chosen = {exp: c}
@@ -100,9 +105,15 @@ def initial_form(f: MultiPoly, w) -> MultiPoly:
 def initial_ideal(ideal: IdealHandle, w, max_steps=None) -> IdealHandle:
     """in_w(I), generated by in_w(G) for G the reduced basis of I under
     weight_order(w), i.e. w refined by degrevlex; so in_w(G) is also the
-    reduced degrevlex basis of in_w(I) (Sturmfels, GBCP, Cor. 1.9)."""
-    basis = ideal.reduced_groebner(weight_order(w), max_steps=max_steps)
-    inw = IdealHandle(ideal.ring, [initial_form(g, w) for g in basis])
+    reduced degrevlex basis of in_w(I) (Sturmfels, GBCP, Cor. 1.9).
+    An initial form equal to one still in use elsewhere (the cones of a
+    Groebner fan share many) is that same object."""
+    worder = weight_order(w)
+    if worder.nvars != ideal.ring.nvars:
+        raise ValueError("weight length does not match variable count")
+    basis = ideal.reduced_groebner(worder, max_steps=max_steps)
+    shared = ideal.ring.shared
+    inw = IdealHandle(ideal.ring, [shared(_initial_form(g, worder._iw)) for g in basis])
     order = degrevlex(ideal.ring.nvars)
     lead = order.leading_monomial
     # reduced_groebner_basis's order: the degrevlex key starts with the degree

@@ -8,6 +8,7 @@ relations, minimalized by linear algebra in degree two.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from ..pvector import INF, PlueckerVector, d_subsets, subset_key
@@ -30,6 +31,13 @@ def sort_sign(tup):
 
 
 def plucker_ring(d: int, n: int, field=QQ) -> PolyRing:
+    """The ring of I_{d,n}, one shared object per (d, n, field), whether
+    the field is passed or left to its default."""
+    return _plucker_ring(d, n, field)
+
+
+@lru_cache(maxsize=32)
+def _plucker_ring(d, n, field):
     names = ["p_" + subset_key(S) for S in d_subsets(d, n)]
     ring = PolyRing(field, names)
     ring.plucker_shape = (d, n)
@@ -104,12 +112,19 @@ def _minimalize_quadrics(polys):
 def plucker_generators(d: int, n: int, field=QQ):
     """Generators of I_{d,n}: the quadratic exchange relations,
     minimalized by linear algebra in degree 2; for d=2 these are the
-    C(n,4) three-term relations.
+    C(n,4) three-term relations.  A new list of polynomials shared by
+    every call with the same (d, n, field), in plucker_ring's ring.
     """
     if d < 2 or d >= n:
         raise ValueError("need 2 <= d < n")
+    return list(_plucker_generators(d, n, field))
+
+
+@lru_cache(maxsize=32)
+def _plucker_generators(d, n, field):
     ring = plucker_ring(d, n, field)
-    return _minimalize_quadrics([_to_poly(ring, rel) for rel in _exchange_relations(d, n)])
+    return tuple(_minimalize_quadrics(
+        [_to_poly(ring, rel) for rel in _exchange_relations(d, n)]))
 
 
 def three_term_quadric(ring: PolyRing, i, j, k, l) -> MultiPoly:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from weakref import WeakValueDictionary
 
 from .scalars import QQ
 
@@ -23,6 +24,17 @@ class PolyRing:
         self._index = {v: i for i, v in enumerate(self.variables)}
         if len(self._index) != self.nvars:
             raise ValueError("duplicate variable names")
+        self._live = WeakValueDictionary()
+
+    def shared(self, poly):
+        """The polynomial of this ring equal to poly that is already in
+        use, or poly itself.  The table holds polynomials weakly, so it
+        keeps only those that someone else still holds."""
+        key = frozenset(poly.terms.items())
+        found = self._live.get(key)
+        if found is None:
+            self._live[key] = found = poly
+        return found
 
     def var_index(self, name: str) -> int:
         return self._index[name]
@@ -107,7 +119,7 @@ class PolyRing:
 class MultiPoly:
     """Immutable sparse polynomial over a PolyRing."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "__weakref__")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring

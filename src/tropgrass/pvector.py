@@ -24,6 +24,11 @@ def subset_tuple(d: int, n: int):
     return tuple(combinations(range(1, n + 1), d))
 
 
+@lru_cache(maxsize=64)
+def _subset_set(d: int, n: int):
+    return frozenset(subset_tuple(d, n))
+
+
 def d_subsets(d: int, n: int):
     """All sorted d-subsets of {1, ..., n}, as a new list."""
     return list(subset_tuple(d, n))
@@ -47,7 +52,9 @@ def phi(a, d: int):
 
 
 class PlueckerVector:
-    """A rational (or +inf) coordinate per d-subset of [n]."""
+    """A rational (or +inf) coordinate per d-subset of [n].  Missing
+    coordinates are 0; a key that is not a sorted d-subset raises
+    ValueError."""
 
     def __init__(self, d: int, n: int, coords=None):
         self.d = d
@@ -55,6 +62,11 @@ class PlueckerVector:
         self.subsets = subset_tuple(d, n)
         full = {}
         coords = coords or {}
+        allowed = _subset_set(d, n)
+        if coords.keys() - allowed:
+            bad = next(S for S in coords if S not in allowed)
+            raise ValueError(
+                f"coordinate key {bad!r} is not a sorted {d}-subset of 1..{n}")
         for S in self.subsets:
             v = coords.get(S, 0)
             full[S] = v if v == INF else Fraction(v)

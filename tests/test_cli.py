@@ -185,6 +185,26 @@ def test_groebner_initial_with_weight(tmp_path):
     assert load_report(out)["generators"] == ["p_13*p_24"]
 
 
+@pytest.mark.parametrize("action", ["initial", "monomial-free", "degree"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_weight_of_another_grassmannian_is_a_usage_error(action, n, tmp_path, capsys):
+    w_path = tmp_path / "w.json"
+    w_path.write_text(basis_vector(2, n, (1, 3)).to_json())
+    argv = ["groebner", action, "--d", "2", "--n", "5", "--w", str(w_path)]
+    assert run(argv + ["--output", str(tmp_path / "report.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: weight length does not match variable count\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_weight_file_with_unsorted_key_is_a_usage_error(tmp_path, capsys):
+    w_path = tmp_path / "w.json"
+    w_path.write_text('{"d": 2, "n": 4, "coords": {"12": "1", "31": "2"}}')
+    assert run(["plane", "dual", "--w", str(w_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: coordinate key (3, 1) is not a sorted 2-subset of 1..4\n")
+
+
 def test_char7_demo_char0(tmp_path):
     out = tmp_path / "report.json"
     code = run(["char7", "demo", "--char", "0", "--output", str(out)])

@@ -92,6 +92,29 @@ def test_containment_and_maximal_face_pruning():
         SimplicialComplex([1], [[2]])
 
 
+def _reference_maximal(faces):
+    """Maximal faces by the direct scan: each face against every kept one."""
+    kept = []
+    for f in sorted(map(frozenset, faces), key=len, reverse=True):
+        if not any(f <= g for g in kept):
+            kept.append(f)
+    return kept
+
+
+def test_maximal_faces_from_duplicate_and_nested_faces():
+    faces = [[3], [1, 2], [2, 1], [1, 2, 3], [4, 5], [5, 4], [4], [],
+             [1, 3], [5, 6], [2, 3, 1], [6]]
+    c = SimplicialComplex(range(1, 7), faces)
+    assert c.maximal_faces == [frozenset({1, 2, 3}), frozenset({4, 5}),
+                               frozenset({5, 6})]
+    rng = random.Random(5)
+    for _ in range(200):
+        faces = [rng.sample(range(8), rng.randint(0, 4)) for _ in range(rng.randint(0, 12))]
+        faces += [list(reversed(f)) for f in rng.sample(faces, len(faces) // 3)]
+        rng.shuffle(faces)
+        assert SimplicialComplex(range(8), faces).maximal_faces == _reference_maximal(faces)
+
+
 def test_boundary_map_in_degree_zero_is_zero():
     assert SimplicialComplex([1, 2], [[1, 2]]).boundary_matrix(0) == ([{}, {}], 0)
     s = sphere2()

@@ -1,6 +1,7 @@
 """Pluecker vectors, the map phi, and reduction modulo its image."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -103,3 +104,22 @@ def test_dimension_mismatch():
     v = PlueckerVector(2, 5, {})
     with pytest.raises(ValueError):
         _ = w + v
+
+
+@pytest.mark.parametrize("coords, bad", [
+    ({(2, 1): 5, (1, 4): 7}, "(2, 1)"),
+    ({(1, 2): 5, (1, 4): 7}, "(1, 4)"),
+    ({(1, 2, 3): 1}, "(1, 2, 3)"),
+    ({(1, 1): 1}, "(1, 1)"),
+])
+def test_keys_that_are_not_sorted_subsets_are_rejected(coords, bad):
+    with pytest.raises(ValueError, match=re.escape(f"key {bad} is not")):
+        PlueckerVector(2, 3, coords)
+
+
+def test_from_json_rejects_keys_that_are_not_sorted_subsets():
+    text = '{"d": 2, "n": 3, "coords": {"12": "1", "21": "5", "14": "7"}}'
+    with pytest.raises(ValueError, match="not a sorted 2-subset"):
+        PlueckerVector.from_json(text)
+    ok = PlueckerVector.from_json('{"d": 2, "n": 3, "coords": {"13": "5"}}')
+    assert ok.as_list() == [0, 5, 0]

@@ -39,16 +39,8 @@ from .pvector import PlueckerVector, basis_vector, d_subsets
 
 
 def _claim(report, name, expected, actual):
-    ok = expected == actual
-    report["claims"].append(
-        {
-            "name": name,
-            "expected": _jsonable(expected),
-            "actual": _jsonable(actual),
-            "pass": ok,
-        }
-    )
-    return ok
+    report["claims"].append({"name": name, "expected": _jsonable(expected),
+                             "actual": _jsonable(actual), "pass": expected == actual})
 
 
 def _jsonable(x):
@@ -77,30 +69,29 @@ def _load_weight(path) -> PlueckerVector:
 
 
 # -- scenarios -----------------------------------------------------------
+# Each fills in the report frame that run() made for it.
 
 
-def cmd_tree_reconstruct(args):
+def cmd_tree_reconstruct(args, report):
     with open(args.input) as fh:
         w = treespace.dissimilarity_from_csv(fh.read())
     ok, quad = treespace.four_point_check(w)
-    report = {"subcommand": "tree reconstruct", "claims": []}
     _claim(report, "four_point_condition", True, ok)
     if not ok:
         report["violating_quadruple"] = list(quad)
-        return _emit(report, args.output)
+        return
     tree = treespace.additive_linkage(w)
     back = treespace.tree_to_plucker(tree)
     _claim(report, "distance_round_trip", True, back == w)
     report["newick"] = tree.to_newick()
     report["splits"] = json.loads(tree.to_split_json())
-    return _emit(report, args.output)
 
 
-def cmd_treespace_stats(args):
+def cmd_treespace_stats(args, report):
     n = args.n
     complex_ = treespace.tn_complex(n)
     f = complex_.f_vector()
-    report = {"subcommand": "treespace stats", "n": n, "claims": []}
+    report["n"] = n
     _claim(report, "vertices", 2 ** (n - 1) - n - 1, f[0])
     facets = len(complex_.maximal_faces)
     expected = 1
@@ -108,19 +99,12 @@ def cmd_treespace_stats(args):
         expected *= k
     _claim(report, "facets", expected, facets)
     report["f_vector"] = list(f)
-    return _emit(report, args.output)
 
 
-def cmd_treespace_verify_initial(args):
+def cmd_treespace_verify_initial(args, report):
     field = field_of_characteristic(args.char)
     rng = random.Random(args.seed)
-    report = {
-        "subcommand": "treespace verify-initial",
-        "n": args.n,
-        "characteristic": args.char,
-        "seed": args.seed,
-        "claims": [],
-    }
+    report.update(n=args.n, characteristic=args.char, seed=args.seed)
     for trial in range(args.trials):
         tree = treespace.random_trivalent_tree(args.n, rng)
         w = treespace.tree_to_plucker(tree).as_list()
@@ -128,31 +112,21 @@ def cmd_treespace_verify_initial(args):
         inw = initial_ideal(ideal, w, max_steps=args.budget)
         js = IdealHandle.of(treespace.j_sigma(tree, field))
         _claim(report, f"j_sigma_equals_initial_ideal_{trial}", True, inw.equals(js))
-    return _emit(report, args.output)
 
 
-def cmd_g36_verify(args):
-    report = {"subcommand": "g36 verify", "claims": []}
+def cmd_g36_verify(args, report):
     delta = g36.build_delta()
     _claim(report, "delta_f_vector", [65, 550, 1410, 1065, 15], list(delta.f_vector()))
     complex_ = g36.build_g36()
     _claim(report, "f_vector", [65, 550, 1395, 1035], list(complex_.f_vector()))
     census = g36.facet_census(complex_)
-    _claim(
-        report,
-        "facet_census",
-        {"EEEE": 30, "EEFF1": 90, "EEFF2": 90, "EFFG": 180,
-         "EEEG": 240, "EEFG": 360, "FFGG": 45},
-        census,
-    )
+    _claim(report, "facet_census",
+           {"EEEE": 30, "EEFF1": 90, "EEFF2": 90, "EFFG": 180,
+            "EEEG": 240, "EEFG": 360, "FFGG": 45}, census)
     _claim(report, "bipyramid_identity", True, g36.bipyramid_identity_holds())
     if args.homology:
-        _claim(
-            report,
-            "betti_numbers",
-            [1, 0, 0, 126],
-            list(complex_.betti_numbers(check_torsion=True)),
-        )
+        _claim(report, "betti_numbers", [1, 0, 0, 126],
+               list(complex_.betti_numbers(check_torsion=True)))
     if args.links:
         ok, failures = g36.triangle_links_match(complex_)
         _claim(report, "triangle_links", True, ok)
@@ -165,89 +139,84 @@ def cmd_g36_verify(args):
             w = g36.facet_cone_sample(cls).as_list()
             res = is_monomial_free(ideal, w, max_steps=args.budget)
             _claim(report, f"monomial_free_{cls}", True, res.free)
-    return _emit(report, args.output)
 
 
-def cmd_plane_type(args):
+def cmd_plane_type(args, report):
     w = _load_weight(args.w)
     types = troplin.plane_type(troplin.TropicalPlane(w))
-    report = {"subcommand": "plane type", "claims": []}
     report["types"] = sorted(str(p) for p in types)
-    report["bounded"] = sorted(
-        str(p) for p in types if troplin.is_bounded_face(p)
-    )
+    report["bounded"] = sorted(str(p) for p in types if troplin.is_bounded_face(p))
     _claim(report, "nonempty", True, bool(types))
-    return _emit(report, args.output)
 
 
-def cmd_plane_member(args):
+def cmd_plane_member(args, report):
     w = _load_weight(args.w)
     x = [Fraction(v) for v in args.point.split(",")]
     res = troplin.TropicalPlane(w).contains(x)
-    report = {"subcommand": "plane member", "claims": []}
     report["member"] = bool(res)
     if not res:
         report["violating_circuit"] = "".join(map(str, res.violating_circuit))
     _claim(report, "membership_decided", True, True)
-    return _emit(report, args.output)
 
 
-def cmd_plane_dual(args):
+def cmd_plane_dual(args, report):
     w = _load_weight(args.w)
     ws = troplin.dual(w)
-    report = {"subcommand": "plane dual", "claims": []}
     _claim(report, "involution", True, troplin.dual(ws) == w)
     report["dual"] = json.loads(ws.to_json())
-    return _emit(report, args.output)
 
 
-def cmd_plane_reconstruct(args):
+def cmd_plane_reconstruct(args, report):
     w = _load_weight(args.w)
-    bound = max(
-        (abs(v) for v in w.coords.values()), default=Fraction(0)
-    )
+    bound = max((abs(v) for v in w.coords.values()), default=Fraction(0))
     oracle = troplin.PlaneOracle.from_vector(w)
     rec = troplin.reconstruct_plucker(oracle, bound=max(bound, 1))
-    report = {"subcommand": "plane reconstruct", "claims": []}
     _claim(report, "round_trip_mod_phi", True, rec.equals_mod_phi(w))
     report["reconstructed"] = json.loads(rec.to_json())
-    return _emit(report, args.output)
 
 
-def cmd_groebner(args):
+def _plucker_ideal(args, report):
+    """I_{d,n} over the field of args.char, recorded in the report."""
     field = field_of_characteristic(args.char)
     ring = plucker_ring(args.d, args.n, field)
     ideal = IdealHandle(ring, plucker_generators(args.d, args.n, field))
-    w = _load_weight(args.w).as_list() if args.w else None
-    report = {
-        "subcommand": f"groebner {args.action}",
-        "d": args.d,
-        "n": args.n,
-        "characteristic": args.char,
-        "claims": [],
-    }
-    if args.action == "initial":
-        inw = initial_ideal(ideal, w, max_steps=args.budget)
-        report["generators"] = sorted(str(g) for g in inw.generators)
-        _claim(report, "computed", True, True)
-    elif args.action == "monomial-free":
-        res = is_monomial_free(ideal, w, max_steps=args.budget)
-        report["free"] = res.free
-        if res.witness is not None:
-            report["witness"] = str(res.witness)
-        _claim(report, "decided", True, True)
-    elif args.action == "degree":
-        target = initial_ideal(ideal, w, max_steps=args.budget) if w else ideal
-        report["degree"] = degree_of(target, max_steps=args.budget)
-        _claim(report, "computed", True, True)
-    elif args.action == "intersect":
-        w2 = _load_weight(args.w2).as_list()
-        a = initial_ideal(ideal, w, max_steps=args.budget)
-        b = initial_ideal(ideal, w2, max_steps=args.budget)
-        meet = intersect_ideals(a, b, max_steps=args.budget)
-        report["generators"] = sorted(str(g) for g in meet.generators)
-        _claim(report, "computed", True, True)
-    return _emit(report, args.output)
+    report.update(d=args.d, n=args.n, characteristic=args.char)
+    return ideal
+
+
+def cmd_groebner_initial(args, report):
+    ideal = _plucker_ideal(args, report)
+    inw = initial_ideal(ideal, _load_weight(args.w).as_list(), max_steps=args.budget)
+    report["generators"] = sorted(str(g) for g in inw.generators)
+    _claim(report, "computed", True, True)
+
+
+def cmd_groebner_monomial_free(args, report):
+    ideal = _plucker_ideal(args, report)
+    res = is_monomial_free(ideal, _load_weight(args.w).as_list(), max_steps=args.budget)
+    report["free"] = res.free
+    if res.witness is not None:
+        report["witness"] = str(res.witness)
+    _claim(report, "decided", True, True)
+
+
+def cmd_groebner_degree(args, report):
+    target = _plucker_ideal(args, report)
+    if args.w:
+        w = _load_weight(args.w).as_list()
+        target = initial_ideal(target, w, max_steps=args.budget)
+    report["degree"] = degree_of(target, max_steps=args.budget)
+    _claim(report, "computed", True, True)
+
+
+def cmd_groebner_intersect(args, report):
+    ideal = _plucker_ideal(args, report)
+    w, w2 = (_load_weight(p).as_list() for p in (args.w, args.w2))
+    a = initial_ideal(ideal, w, max_steps=args.budget)
+    b = initial_ideal(ideal, w2, max_steps=args.budget)
+    meet = intersect_ideals(a, b, max_steps=args.budget)
+    report["generators"] = sorted(str(g) for g in meet.generators)
+    _claim(report, "computed", True, True)
 
 
 SPECIAL_CUBIC = (
@@ -264,27 +233,17 @@ def char7_weight(wprime=False):
     return w
 
 
-def cmd_char7(args):
+def cmd_char7(args, report):
     field = field_of_characteristic(args.char)
     w = char7_weight(args.wprime)
     ring = plucker_ring(3, 7, field)
     f = ring.parse(SPECIAL_CUBIC)
-    report = {
-        "subcommand": "char7 demo",
-        "characteristic": args.char,
-        "wprime": args.wprime,
-        "claims": [],
-    }
+    report.update(characteristic=args.char, wprime=args.wprime)
     wl = w.as_list()
     inf = initial_form(f, wl)
     report["initial_form_of_special_cubic"] = str(inf)
     if not args.wprime:
-        _claim(
-            report,
-            "initial_form_is_monomial",
-            args.char != 2,
-            len(inf.terms) == 1,
-        )
+        _claim(report, "initial_form_is_monomial", args.char != 2, len(inf.terms) == 1)
     ideal = IdealHandle(ring, plucker_generators(3, 7, field))
     res = is_monomial_free(ideal, wl, max_steps=args.budget)
     report["monomial_free"] = res.free
@@ -297,13 +256,7 @@ def cmd_char7(args):
         M, trials = fano_certificate_search(GF4, rng)
         _claim(report, "gf4_valuation_certificate_found", True, M is not None)
         if M is not None:
-            _claim(
-                report,
-                "certificate_valuations",
-                True,
-                plucker_valuations(M) == w,
-            )
-    return _emit(report, args.output)
+            _claim(report, "certificate_valuations", True, plucker_valuations(M) == w)
 
 
 SAGBI_WEIGHTS = [
@@ -313,8 +266,7 @@ SAGBI_WEIGHTS = [
 ]
 
 
-def cmd_sagbi(args):
-    report = {"subcommand": "sagbi demo", "claims": []}
+def cmd_sagbi(args, report):
     w = tropical_minors(SAGBI_WEIGHTS)
     target = g36.gv("g_123456").raw_vector() + g36.gv("g_125634").raw_vector()
     _claim(report, "tropical_minors_hit_gg_cone", True, w == target)
@@ -342,15 +294,53 @@ def cmd_sagbi(args):
     dk, di = degree_of(ker), degree_of(inw)
     report["degrees"] = {"kernel": dk, "initial_ideal": di}
     _claim(report, "degrees_differ", True, dk != di)
-    return _emit(report, args.output)
 
 
 # -- argument plumbing ---------------------------------------------------
+# An option is (flag, argparse keywords); "env" names the environment
+# variable that overrides its default when the parser is built.
+
+_W = ("--w", {"required": True, "help": "PlueckerVector JSON file"})
+_CHAR = ("--char", {"type": int, "default": 0})
+_BUDGET = ("--budget", {
+    "type": int, "env": "TROPGRASS_BUDGET",
+    "help": "step budget: S-pairs per Groebner run, witness candidates",
+})
+_SEED = ("--seed", {"type": int, "default": 0, "env": "TROPGRASS_SEED",
+                    "help": "random seed"})
+_PLUCKER = (("--d", {"type": int, "required": True}),
+            ("--n", {"type": int, "required": True}), _CHAR)
 
 
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    return default if raw in (None, "") else int(raw)
+def _flag(name):
+    return (name, {"action": "store_true"})
+
+
+# (group, action, scenario, the options it reads besides --output)
+SUBCOMMANDS = (
+    ("tree", "reconstruct", cmd_tree_reconstruct,
+     (("--input", {"required": True, "help": "CSV distance matrix"}),)),
+    ("treespace", "stats", cmd_treespace_stats,
+     (("--n", {"type": int, "required": True}),)),
+    ("treespace", "verify-initial", cmd_treespace_verify_initial,
+     (("--n", {"type": int, "default": 6}), _CHAR,
+      ("--trials", {"type": int, "default": 3}), _BUDGET, _SEED)),
+    ("g36", "verify", cmd_g36_verify,
+     (_flag("--homology"), _flag("--links"), _flag("--cones"), _BUDGET)),
+    ("plane", "type", cmd_plane_type, (_W,)),
+    ("plane", "member", cmd_plane_member, (_W, ("--point", {"required": True}))),
+    ("plane", "dual", cmd_plane_dual, (_W,)),
+    ("plane", "reconstruct", cmd_plane_reconstruct, (_W,)),
+    ("groebner", "initial", cmd_groebner_initial, _PLUCKER + (_W, _BUDGET)),
+    ("groebner", "monomial-free", cmd_groebner_monomial_free,
+     _PLUCKER + (_W, _BUDGET)),
+    ("groebner", "degree", cmd_groebner_degree,
+     _PLUCKER + (("--w", {"help": "PlueckerVector JSON file"}), _BUDGET)),
+    ("groebner", "intersect", cmd_groebner_intersect,
+     _PLUCKER + (_W, ("--w2", {"required": True, "help": "second weight"}), _BUDGET)),
+    ("char7", "demo", cmd_char7, (_CHAR, _flag("--wprime"), _BUDGET, _SEED)),
+    ("sagbi", "demo", cmd_sagbi, (_BUDGET,)),
+)
 
 
 def build_parser():
@@ -359,84 +349,20 @@ def build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="group", required=True)
-
-    def common(p):
+    groups = {}
+    for group, action, func, options in SUBCOMMANDS:
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(
+                dest="action", required=True)
+        p = groups[group].add_parser(action)
+        for flag, kw in options:
+            kw = dict(kw)
+            raw = os.environ.get(kw.pop("env", ""))
+            if raw:
+                kw["default"] = int(raw)
+            p.add_argument(flag, **kw)
         p.add_argument("--output", help="write the JSON report here")
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=_env_int("TROPGRASS_BUDGET", None),
-            help="step budget: S-pairs per Groebner run, witness candidates",
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=_env_int("TROPGRASS_SEED", 0),
-            help="random seed",
-        )
-
-    tree = sub.add_parser("tree").add_subparsers(dest="action", required=True)
-    p = tree.add_parser("reconstruct")
-    p.add_argument("--input", required=True, help="CSV distance matrix")
-    common(p)
-    p.set_defaults(func=cmd_tree_reconstruct)
-
-    ts = sub.add_parser("treespace").add_subparsers(dest="action", required=True)
-    p = ts.add_parser("stats")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_treespace_stats)
-    p = ts.add_parser("verify-initial")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("--trials", type=int, default=3)
-    common(p)
-    p.set_defaults(func=cmd_treespace_verify_initial)
-
-    g = sub.add_parser("g36").add_subparsers(dest="action", required=True)
-    p = g.add_parser("verify")
-    p.add_argument("--homology", action="store_true")
-    p.add_argument("--links", action="store_true")
-    p.add_argument("--cones", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_g36_verify)
-
-    pl = sub.add_parser("plane").add_subparsers(dest="action", required=True)
-    for name, func, extra in [
-        ("type", cmd_plane_type, ()),
-        ("member", cmd_plane_member, ("point",)),
-        ("dual", cmd_plane_dual, ()),
-        ("reconstruct", cmd_plane_reconstruct, ()),
-    ]:
-        p = pl.add_parser(name)
-        p.add_argument("--w", required=True, help="PlueckerVector JSON file")
-        for e in extra:
-            p.add_argument(f"--{e}", required=True)
-        common(p)
         p.set_defaults(func=func)
-
-    gr = sub.add_parser("groebner")
-    gr.add_argument("action", choices=["initial", "monomial-free", "degree", "intersect"])
-    gr.add_argument("--d", type=int, required=True)
-    gr.add_argument("--n", type=int, required=True)
-    gr.add_argument("--char", type=int, default=0)
-    gr.add_argument("--w", help="PlueckerVector JSON file")
-    gr.add_argument("--w2", help="second weight for intersect")
-    common(gr)
-    gr.set_defaults(func=cmd_groebner)
-
-    c7 = sub.add_parser("char7").add_subparsers(dest="action", required=True)
-    p = c7.add_parser("demo")
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("--wprime", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_char7)
-
-    sg = sub.add_parser("sagbi").add_subparsers(dest="action", required=True)
-    p = sg.add_parser("demo")
-    common(p)
-    p.set_defaults(func=cmd_sagbi)
-
     return parser
 
 
@@ -446,8 +372,10 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    report = {"subcommand": f"{args.group} {args.action}", "claims": []}
     try:
-        return args.func(args)
+        args.func(args, report)
+        return _emit(report, args.output)
     except StepBudgetExceeded as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")
         return 1

@@ -38,14 +38,7 @@ _MIN_VALUE_BITS = 4
 
 
 class StepBudgetExceeded(RuntimeError):
-    """Raised when a Groebner run exhausts its step budget.
-
-    Carries the partial basis computed so far (not reduced, not complete).
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial or []
+    """Raised when a Groebner run exhausts its step budget."""
 
 
 class _Overflow(Exception):
@@ -328,11 +321,7 @@ def buchberger(generators, order, pack, max_steps=None):
             continue
         steps += 1
         if max_steps is not None and steps > max_steps:
-            raise StepBudgetExceeded(
-                f"S-pair budget {max_steps} exhausted",
-                partial=[({pack.unpack(e): v for e, v in terms.items()},
-                          pack.unpack(lead)) for terms, lead in basis],
-            )
+            raise StepBudgetExceeded(f"S-pair budget {max_steps} exhausted")
         s = _spoly(basis[i], basis[j], lcm_exp)
         if not s:
             continue

@@ -38,10 +38,7 @@ def plucker_ring(d: int, n: int, field=QQ) -> PolyRing:
 
 @lru_cache(maxsize=32)
 def _plucker_ring(d, n, field):
-    names = ["p_" + subset_key(S) for S in d_subsets(d, n)]
-    ring = PolyRing(field, names)
-    ring.plucker_shape = (d, n)
-    return ring
+    return PolyRing(field, ["p_" + subset_key(S) for S in d_subsets(d, n)])
 
 
 def _exchange_relations(d: int, n: int):
@@ -147,23 +144,13 @@ def _generic_minor(ring: PolyRing, d: int, n: int, cols) -> MultiPoly:
     terms = []
     exp0 = [0] * ring.nvars
     for perm in permutations(range(d)):
-        sign = _perm_sign(perm)
+        sign = sort_sign(perm)[0]
         exp = exp0[:]
         for r, pos in enumerate(perm):
             c = cols[pos]
             exp[r * n + (c - 1)] += 1
         terms.append((tuple(exp), sign))
     return ring.from_terms(terms)
-
-
-def _perm_sign(perm):
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def expand_on_generic_matrix(f: MultiPoly, d: int, n: int) -> MultiPoly:
@@ -250,7 +237,7 @@ class TPolyMatrix:
         cols = list(cols)
         det = []
         for perm in permutations(range(self.d)):
-            sign = _perm_sign(perm)
+            sign = sort_sign(perm)[0]
             prod = [self.field.one()]
             for r, pos in enumerate(perm):
                 prod = self._mul(prod, self.entries[r][cols[pos] - 1])
@@ -270,13 +257,13 @@ def plucker_valuations(M: TPolyMatrix) -> PlueckerVector:
     A vanishing minor yields an infinite coordinate; callers decide how
     to treat it.
     """
+    return PlueckerVector(M.d, M.n, {S: _valuation(M, S) for S in d_subsets(M.d, M.n)})
+
+
+def _valuation(M: TPolyMatrix, S):
+    """The lowest t-degree of the minor on columns S, or INF if it vanishes."""
     zero = M.field.zero()
-    coords = {}
-    for S in d_subsets(M.d, M.n):
-        det = M.minor(S)
-        val = next((i for i, c in enumerate(det) if c != zero), None)
-        coords[S] = INF if val is None else val
-    return PlueckerVector(M.d, M.n, coords)
+    return next((i for i, c in enumerate(M.minor(S)) if c != zero), INF)
 
 
 # -- the Fano configuration and its valuation certificate ----------------
@@ -326,10 +313,10 @@ def fano_certificate_search(field, rng, max_trials=20000):
             for r in range(3)
         ]
         M = TPolyMatrix(rows, field)
-        pv = plucker_valuations(M)
-        good = sum(1 for T in FANO_LINES if pv[T] == 1)
+        # only the line minors decide `good`; the other 28 wait for a hit
+        good = sum(1 for T in FANO_LINES if _valuation(M, T) == 1)
         if good > best:
             best = good
-        if good == 7 and pv == w:
+        if good == 7 and plucker_valuations(M) == w:
             return M, trial
     return None, best

@@ -42,6 +42,23 @@ def parse_subset(key: str):
     return tuple(int(c) for c in key)
 
 
+def _json_key(subset, n: int) -> str:
+    """A subset's JSON coordinate key: its digits for n <= 9, as in the
+    variable names, and its leaves joined by commas for n >= 10, where
+    digits would run together."""
+    return subset_key(subset) if n <= 9 else ",".join(map(str, subset))
+
+
+def _parse_json_key(key: str, d: int, n: int):
+    """Read _json_key output; the comma form is read for any n, and a
+    digit key for n <= 9 only (a single leaf needs no comma)."""
+    if "," in key or (d == 1 and n > 9):
+        return tuple(int(c) for c in key.split(","))
+    if n > 9 and d > 1:
+        raise ValueError(f"digit key {key!r} is ambiguous for n = {n}")
+    return parse_subset(key)
+
+
 def phi(a, d: int):
     """Map an n-vector to the C(n,d)-vector of d-subset sums."""
     n = len(a)
@@ -151,7 +168,7 @@ class PlueckerVector:
                 "d": self.d,
                 "n": self.n,
                 "coords": {
-                    subset_key(S): ("inf" if v == INF else str(v))
+                    _json_key(S, self.n): ("inf" if v == INF else str(v))
                     for S, v in self.coords.items()
                 },
             }
@@ -160,11 +177,12 @@ class PlueckerVector:
     @classmethod
     def from_json(cls, text: str):
         data = json.loads(text)
+        d, n = data["d"], data["n"]
         coords = {}
         for key, val in data["coords"].items():
-            S = parse_subset(key)
+            S = _parse_json_key(key, d, n)
             coords[S] = INF if val == "inf" else Fraction(val)
-        return cls(data["d"], data["n"], coords)
+        return cls(d, n, coords)
 
     def __repr__(self):
         nz = {subset_key(S): str(v) for S, v in self.coords.items() if v != 0}

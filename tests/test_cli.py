@@ -1,12 +1,15 @@
 """Command-line scenarios: reports, exit codes, determinism."""
 
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from tropgrass import treespace
-from tropgrass.cli import run
-from tropgrass.pvector import PlueckerVector, basis_vector
+from tropgrass.cli import build_parser, run
+from tropgrass.pvector import PlueckerVector, basis_vector, phi
 from tropgrass.treespace import SemiLabeledTree, Split, tree_to_plucker
 
 
@@ -236,3 +239,104 @@ def test_env_overrides(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     code = run(["groebner", "degree", "--d", "3", "--n", "6", "--output", str(out)])
     assert code == 1
+
+
+# -- the subcommand table ------------------------------------------------
+
+BUDGET_READERS = {
+    ("treespace", "verify-initial"), ("g36", "verify"), ("char7", "demo"),
+    ("sagbi", "demo"), ("groebner", "initial"), ("groebner", "monomial-free"),
+    ("groebner", "degree"), ("groebner", "intersect"),
+}
+SEED_READERS = {("treespace", "verify-initial"), ("char7", "demo")}
+
+
+def parser_pairs():
+    """Every (group, action) pair that build_parser knows."""
+    def choices(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return {(g, a) for g, gp in choices(build_parser()).items() for a in choices(gp)}
+
+
+def minimal_argv(tmp_path, group, action):
+    """The cheapest complete argv for a (group, action) pair."""
+    w6 = str(snowflake_w_file(tmp_path))
+    w4 = tmp_path / "w4.json"
+    w4.write_text(PlueckerVector(2, 4, {(1, 3): -1, (2, 4): -1}).to_json())
+    groebner = ["--d", "2", "--n", "4", "--w", str(w4)]
+    rest = {
+        ("tree", "reconstruct"): ["--input", str(snowflake_csv(tmp_path))],
+        ("treespace", "stats"): ["--n", "5"],
+        ("treespace", "verify-initial"): ["--n", "4", "--trials", "1"],
+        ("g36", "verify"): [],
+        ("plane", "type"): ["--w", w6],
+        ("plane", "member"): ["--w", w6, "--point", "0,0,0,1,2,4"],
+        ("plane", "dual"): ["--w", w6],
+        ("plane", "reconstruct"): ["--w", w6],
+        ("groebner", "initial"): groebner,
+        ("groebner", "monomial-free"): groebner,
+        ("groebner", "degree"): groebner,
+        ("groebner", "intersect"): groebner + ["--w2", str(w4)],
+        ("char7", "demo"): ["--char", "0"],
+        ("sagbi", "demo"): [],
+    }[group, action]
+    return [group, action] + rest
+
+
+def test_parser_knows_the_fourteen_subcommands():
+    assert len(parser_pairs()) == 14
+    assert BUDGET_READERS | SEED_READERS <= parser_pairs()
+
+
+@pytest.mark.parametrize("group, action", sorted(parser_pairs()))
+def test_report_names_its_subcommand(group, action, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(minimal_argv(tmp_path, group, action) + ["--output", str(out)]) == 0
+    assert load_report(out)["subcommand"] == f"{group} {action}"
+
+
+@pytest.mark.parametrize("action, drop", [
+    ("initial", "--w"), ("monomial-free", "--w"), ("intersect", "--w"),
+    ("intersect", "--w2"),
+])
+def test_missing_groebner_weight_is_a_usage_error(action, drop, tmp_path, capsys):
+    argv = minimal_argv(tmp_path, "groebner", action)
+    i = argv.index(drop)
+    del argv[i:i + 2]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tropgrass groebner ") and drop in err
+
+
+@pytest.mark.parametrize("group, action", sorted(parser_pairs()))
+def test_only_the_options_a_subcommand_reads_are_accepted(group, action, tmp_path, capsys):
+    argv = minimal_argv(tmp_path, group, action)
+    for option, readers in (("--budget", BUDGET_READERS), ("--seed", SEED_READERS)):
+        if (group, action) in readers:
+            assert build_parser().parse_args(argv + [option, "1"])
+        else:
+            assert run(argv + [option, "1"]) == 1
+            assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+def test_plane_dual_past_nine_leaves(tmp_path):
+    w_path = tmp_path / "w.json"
+    w = phi(range(10), 2) + basis_vector(2, 10, (1, 10))
+    w_path.write_text(w.to_json())
+    out = tmp_path / "report.json"
+    assert run(["plane", "dual", "--w", str(w_path), "--output", str(out)]) == 0
+    dual = PlueckerVector.from_json(json.dumps(load_report(out)["dual"]))
+    assert (dual.d, dual.n) == (8, 10)
+    assert dual[tuple(range(2, 10))] == w[(1, 10)] == 10
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    seen = set()
+    for line in block.splitlines():
+        if line.startswith("tropgrass "):
+            args = build_parser().parse_args(shlex.split(line)[1:])
+            seen.add((args.group, args.action))
+    assert seen == parser_pairs()

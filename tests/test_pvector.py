@@ -123,3 +123,24 @@ def test_from_json_rejects_keys_that_are_not_sorted_subsets():
         PlueckerVector.from_json(text)
     ok = PlueckerVector.from_json('{"d": 2, "n": 3, "coords": {"13": "5"}}')
     assert ok.as_list() == [0, 5, 0]
+
+
+@pytest.mark.parametrize("d, n", [(2, 10), (3, 10), (2, 12), (1, 11)])
+def test_json_round_trip_past_nine_leaves(d, n):
+    w = phi(range(n), d) + basis_vector(d, n, tuple(range(n - d + 1, n + 1)))
+    text = w.to_json()
+    assert PlueckerVector.from_json(text) == w
+    # leaves joined by commas, so "1,10" is never read back as (1, 1, 0)
+    last = ",".join(map(str, range(n - d + 1, n + 1)))
+    assert f'"{last}": ' in text
+
+
+def test_json_keys_stay_digits_up_to_nine_leaves():
+    w = basis_vector(2, 9, (1, 9))
+    assert w.to_json().startswith('{"d": 2, "n": 9, "coords": {"12": "0"')
+    assert PlueckerVector.from_json('{"d": 2, "n": 9, "coords": {"1,9": "1"}}') == w
+
+
+def test_json_digit_key_is_refused_past_nine_leaves():
+    with pytest.raises(ValueError, match="ambiguous for n = 10"):
+        PlueckerVector.from_json('{"d": 2, "n": 10, "coords": {"110": "1"}}')

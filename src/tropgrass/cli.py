@@ -35,7 +35,7 @@ from .exactalg import (
 )
 from .exactalg.plucker import _generic_minor, generic_matrix_ring
 from .minplus import tropical_minors
-from .pvector import PlueckerVector, basis_vector, d_subsets
+from .pvector import PlueckerVector, _json_key, basis_vector, d_subsets
 
 
 def _claim(report, name, expected, actual):
@@ -46,6 +46,8 @@ def _claim(report, name, expected, actual):
 def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, (bool, int, str)) or x is None:
@@ -155,7 +157,7 @@ def cmd_plane_member(args, report):
     res = troplin.TropicalPlane(w).contains(x)
     report["member"] = bool(res)
     if not res:
-        report["violating_circuit"] = "".join(map(str, res.violating_circuit))
+        report["violating_circuit"] = _json_key(res.violating_circuit, w.n)
     _claim(report, "membership_decided", True, True)
 
 

@@ -13,16 +13,9 @@ import io
 import json
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import lcm
 
-from .pvector import INF, PlueckerVector, d_subsets
-
-
-def ext(x):
-    """Coerce to an extended real: Fraction or +infinity."""
-    if x == INF:
-        return INF
-    return Fraction(x)
+from .pvector import INF, PlueckerVector, d_subsets, ext
 
 
 def finite_point(x, n: int):
@@ -30,9 +23,16 @@ def finite_point(x, n: int):
     x = [ext(v) for v in x]
     if len(x) != n:
         raise ValueError("point length does not match variable count")
-    if any(v == INF for v in x):
+    if any(v is INF for v in x):
         raise ValueError("evaluation points must be finite")
     return x
+
+
+def scaled_point(x):
+    """A point coerced by finite_point as (m*x as ints, m), where m is
+    the least common multiple of its denominators."""
+    m = lcm(*(v.denominator for v in x))
+    return [v.numerator * (m // v.denominator) for v in x], m
 
 
 def trop_add(a, b):
@@ -57,6 +57,11 @@ class TropPolynomial:
     Exponents are tuples of nonnegative ints; coefficients are extended
     reals with at least one finite.  Terms with +infinity coefficient are
     tolerated but never attain the minimum.
+
+    The finite coefficients are also kept as ints over their common
+    denominator L.  At a point scaled to (m*x, m), the term c + <e, x>
+    is compared as the int c*L*m + L*<e, m*x>, so every tie is decided
+    by an int comparison.
     """
 
     def __init__(self, nvars: int, terms):
@@ -71,39 +76,45 @@ class TropPolynomial:
             if exp in clean:
                 raise ValueError(f"duplicate exponent {exp}")
             clean[exp] = ext(c)
-        if not clean or all(c == INF for c in clean.values()):
+        finite = [(exp, c) for exp, c in clean.items() if c is not INF]
+        if not finite:
             raise ValueError("need at least one finite coefficient")
         self.terms = clean
-        # each finite term with its (index, exponent) pairs of nonzero
-        # exponent, so that evaluation reads only the coordinates it needs
+        self._denominator = L = lcm(*(c.denominator for _, c in finite))
+        # each finite term as (exponent, L * coefficient, (index, exponent)
+        # pairs of nonzero exponent), so that evaluation reads only the
+        # coordinates it needs
         self._finite = [
-            (exp, c, tuple((i, e) for i, e in enumerate(exp) if e))
-            for exp, c in clean.items()
-            if c != INF
+            (exp, c.numerator * (L // c.denominator),
+             tuple((i, e) for i, e in enumerate(exp) if e))
+            for exp, c in finite
         ]
 
     def evaluate(self, x):
         """min over terms of coefficient + <exponent, x>."""
-        return self._argmin(finite_point(x, self.nvars))[0]
+        xs, m = scaled_point(finite_point(x, self.nvars))
+        return Fraction(self._argmin(xs, m)[0], self._denominator * m)
 
     def tight_terms(self, x):
         """The set of exponents attaining evaluate(F, x)."""
-        return set(self._argmin(finite_point(x, self.nvars))[1])
+        return set(self._argmin(*scaled_point(finite_point(x, self.nvars)))[1])
 
     def on_hypersurface(self, x) -> bool:
         """x lies on T(F) iff the minimum is attained at least twice."""
-        return len(self._argmin(finite_point(x, self.nvars))[1]) >= 2
+        return len(self._argmin(*scaled_point(finite_point(x, self.nvars)))[1]) >= 2
 
-    def _argmin(self, point):
-        """The minimum and the list of exponents attaining it, at a point
-        already coerced by finite_point.  Each finite term is evaluated on
-        its own support."""
+    def _argmin(self, xs, m):
+        """L*m times the minimum, and the list of exponents attaining it,
+        at a point scaled by scaled_point to (xs, m) = (m*x, m).  Each
+        finite term is evaluated on its own support."""
+        L = self._denominator
         best = None
         tight = []
         for exp, c, support in self._finite:
-            v = c
+            v = 0
             for i, e in support:
-                v += point[i] if e == 1 else e * point[i]
+                v += xs[i] if e == 1 else e * xs[i]
+            v = c * m + L * v
             if best is None or v < best:
                 best = v
                 tight = [exp]
@@ -112,7 +123,7 @@ class TropPolynomial:
         return best, tight
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e, c in self.terms.items() if c != INF}
+        degs = {sum(e) for e, _, _ in self._finite}
         return len(degs) <= 1
 
     def __eq__(self, other):
@@ -132,7 +143,7 @@ class TropPolynomial:
                 "terms": [
                     {
                         "exp": list(exp),
-                        "coeff": "inf" if c == INF else str(c),
+                        "coeff": "inf" if c is INF else str(c),
                     }
                     for exp, c in sorted(self.terms.items())
                 ],
@@ -159,7 +170,7 @@ class TropPolynomial:
                 for i, e in enumerate(exp)
                 if e
             )
-            cs = "inf" if c == INF else str(c)
+            cs = "inf" if c is INF else str(c)
             chunks.append(f"{cs}" + (f"*{mono}" if mono else ""))
         return "TropPolynomial(" + " (+) ".join(chunks) + ")"
 
@@ -195,52 +206,63 @@ class TropMatrix:
         """Submatrix on 1-based column indices."""
         return TropMatrix([[row[c - 1] for c in cols] for row in self.entries])
 
-    def _finite_permutation_sums(self):
-        """Yield sum_r M[r, sigma(r)] for every permutation sigma that
-        meets no infinite entry (square matrices up to MAX_DET)."""
-        if self.nrows > self.MAX_DET:
+    def _scaled_entries(self):
+        """(rows of L*entry as ints, None for INF; L), where L is the
+        least common multiple of the finite entries' denominators."""
+        L = lcm(*(v.denominator for row in self.entries for v in row
+                  if v is not INF))
+        return [[None if v is INF else v.numerator * (L // v.denominator)
+                 for v in row] for row in self.entries], L
+
+    @classmethod
+    def _permutation_sums(cls, rows, cols):
+        """sum_r rows[r][cols[sigma(r)]] for every permutation sigma that
+        meets no None entry (up to MAX_DET rows)."""
+        if len(rows) > cls.MAX_DET:
             raise ValueError(
-                f"direct enumeration limited to {self.MAX_DET}x{self.MAX_DET}"
+                f"direct enumeration limited to {cls.MAX_DET}x{cls.MAX_DET}"
             )
-        for perm in permutations(range(self.nrows)):
-            total = Fraction(0)
-            for r, c in enumerate(perm):
-                v = self.entries[r][c]
-                if v == INF:
+        sums = []
+        for perm in permutations(cols):
+            total = 0
+            for row, c in zip(rows, perm):
+                v = row[c]
+                if v is None:
                     break
                 total += v
             else:
-                yield total
+                sums.append(total)
+        return sums
+
+    def _determinant(self, rows, L, cols):
+        """min over permutations, as one Fraction, or INF."""
+        sums = self._permutation_sums(rows, cols)
+        return Fraction(min(sums), L) if sums else INF
 
     def tropical_determinant(self):
         """min over permutations sigma of sum_r M[r, sigma(r)]."""
         if self.nrows != self.ncols:
             raise ValueError("tropical determinant needs a square matrix")
-        return min(self._finite_permutation_sums(), default=INF)
+        return self._determinant(*self._scaled_entries(), range(self.ncols))
 
     def tropical_minors(self) -> PlueckerVector:
         """PlueckerVector of tropical maximal-minor values (d = nrows)."""
         if self.nrows > self.ncols:
             raise ValueError("need at least as many columns as rows")
+        rows, L = self._scaled_entries()
         coords = {}
         for S in d_subsets(self.nrows, self.ncols):
-            coords[S] = self.column_submatrix(S).tropical_determinant()
+            coords[S] = self._determinant(rows, L, [c - 1 for c in S])
         return PlueckerVector(self.nrows, self.ncols, coords)
 
     def is_tropically_singular(self) -> bool:
-        """Square matrix whose permutation minimum is attained twice."""
+        """Square matrix whose permutation minimum is attained twice
+        (or that has no finite permutation)."""
         if self.nrows != self.ncols:
             raise ValueError("singularity test needs a square matrix")
-        det = self.tropical_determinant()
-        if det == INF:
-            return True
-        count = 0
-        for total in self._finite_permutation_sums():
-            if total == det:
-                count += 1
-                if count >= 2:
-                    return True
-        return False
+        rows, _ = self._scaled_entries()
+        sums = self._permutation_sums(rows, range(self.ncols))
+        return not sums or sums.count(min(sums)) >= 2
 
     # -- CSV wire format --------------------------------------------------
 
@@ -248,7 +270,7 @@ class TropMatrix:
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in self.entries:
-            writer.writerow(["inf" if v == INF else str(v) for v in row])
+            writer.writerow(["inf" if v is INF else str(v) for v in row])
         return buf.getvalue()
 
     @classmethod

@@ -16,6 +16,17 @@ from math import comb
 INF = float("inf")
 
 
+def ext(x):
+    """Coerce to an extended real: a Fraction, passed through, or INF,
+    the one infinity object every coerced value shares, so that callers
+    can test `v is INF`."""
+    if type(x) is Fraction:
+        return x
+    if x == INF:
+        return INF
+    return Fraction(x)
+
+
 @lru_cache(maxsize=64)
 def subset_tuple(d: int, n: int):
     """All sorted d-subsets of {1, ..., n}, as one immutable tuple shared
@@ -85,17 +96,16 @@ class PlueckerVector:
             raise ValueError(
                 f"coordinate key {bad!r} is not a sorted {d}-subset of 1..{n}")
         for S in self.subsets:
-            v = coords.get(S, 0)
-            full[S] = v if v == INF else Fraction(v)
+            full[S] = ext(coords.get(S, 0))
         self.coords = full
-        if all(v == INF for v in full.values()):
+        if all(v is INF for v in full.values()):
             raise ValueError("PlueckerVector needs at least one finite coordinate")
 
     def __getitem__(self, subset):
         return self.coords[tuple(sorted(subset))]
 
     def is_finite(self) -> bool:
-        return all(v != INF for v in self.coords.values())
+        return all(v is not INF for v in self.coords.values())
 
     def as_list(self):
         return [self.coords[S] for S in self.subsets]
@@ -145,11 +155,8 @@ class PlueckerVector:
         and b = C(n-2, d-2), so for r = phi^T(self) the preimage is
         x = (r - b * sum(r) / (a + n*b)) / a.
         """
-        if not self.is_finite():
-            raise ValueError("cannot reduce a vector with infinite coordinates")
+        self._check_reducible()
         n, d = self.n, self.d
-        if not 2 <= d < n:
-            raise ValueError("reduce_mod_phi needs 2 <= d < n")
         a, b = comb(n - 2, d - 1), comb(n - 2, d - 2)
         r = [
             sum(self.coords[S] for S in self.subsets if i + 1 in S) for i in range(n)
@@ -157,8 +164,21 @@ class PlueckerVector:
         shift = b * sum(r) / (a + n * b)
         return self - phi([(ri - shift) / a for ri in r], d)
 
+    def _check_reducible(self):
+        if not self.is_finite():
+            raise ValueError("cannot reduce a vector with infinite coordinates")
+        if not 2 <= self.d < self.n:
+            raise ValueError("reduce_mod_phi needs 2 <= d < n")
+
     def equals_mod_phi(self, other) -> bool:
-        return self.reduce_mod_phi() == other.reduce_mod_phi()
+        """Whether self and other agree modulo image(phi).  The reduction
+        is linear, so only their difference is reduced; vectors of
+        different shapes are never equal, but each must be reducible."""
+        self._check_reducible()
+        other._check_reducible()
+        if (self.d, self.n) != (other.d, other.n):
+            return False
+        return not any((self - other).reduce_mod_phi().coords.values())
 
     # -- JSON wire format ------------------------------------------------
 
@@ -168,7 +188,7 @@ class PlueckerVector:
                 "d": self.d,
                 "n": self.n,
                 "coords": {
-                    _json_key(S, self.n): ("inf" if v == INF else str(v))
+                    _json_key(S, self.n): ("inf" if v is INF else str(v))
                     for S, v in self.coords.items()
                 },
             }

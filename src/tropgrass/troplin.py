@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .minplus import ext, finite_point, trop_linear_form
-from .pvector import INF, PlueckerVector, d_subsets, subset_tuple
+from .minplus import ext, finite_point, scaled_point, trop_linear_form
+from .pvector import INF, PlueckerVector, _json_key, d_subsets, subset_tuple
 
 _TYPE_GUARD_D = (2, 3)
 _TYPE_GUARD_N = 7
@@ -101,11 +101,11 @@ class TropicalPlane:
                 for j in J:
                     c = self.w[tuple(x for x in J if x != j)]
                     coeffs[j - 1] = c
-                    if c != INF:
+                    if c is not INF:
                         finite += 1
                 if finite < 2:
                     raise DegenerateCircuit(
-                        f"circuit {''.join(map(str, J))} has fewer than "
+                        f"circuit {_json_key(J, self.n)} has fewer than "
                         "two finite coefficients"
                     )
                 out.append(trop_linear_form(coeffs))
@@ -115,26 +115,28 @@ class TropicalPlane:
     def contains(self, x):
         """Whether x lies on every circuit hypersurface; returns a
         truthy/falsy result carrying the first violating circuit.  The
-        point is coerced and validated once, also when there are no
-        circuits (d = n)."""
-        x = finite_point(x, self.n)
+        point is coerced, validated and scaled to integers once, also when
+        there are no circuits (d = n)."""
+        xs, m = scaled_point(finite_point(x, self.n))
         for J, F in zip(self.circuit_subsets(), self.circuits()):
-            if len(F._argmin(x)[1]) < 2:
-                return Membership(False, J)
-        return Membership(True, None)
+            if len(F._argmin(xs, m)[1]) < 2:
+                return Membership(False, J, self.n)
+        return Membership(True, None, self.n)
 
     def __contains__(self, x):
         return bool(self.contains(x))
 
 
 class Membership:
-    """Boolean membership answer plus the violating circuit, if any."""
+    """Boolean membership answer plus the violating circuit, if any, of
+    a plane in n coordinates."""
 
-    __slots__ = ("ok", "violating_circuit")
+    __slots__ = ("ok", "violating_circuit", "n")
 
-    def __init__(self, ok, violating_circuit):
+    def __init__(self, ok, violating_circuit, n):
         self.ok = ok
         self.violating_circuit = violating_circuit
+        self.n = n
 
     def __bool__(self):
         return self.ok
@@ -142,7 +144,7 @@ class Membership:
     def __repr__(self):
         if self.ok:
             return "Membership(True)"
-        J = "".join(map(str, self.violating_circuit))
+        J = _json_key(self.violating_circuit, self.n)
         return f"Membership(False, violating_circuit={J})"
 
 
@@ -303,7 +305,7 @@ class PlaneOracle:
 
     @classmethod
     def from_vector(cls, w: PlueckerVector):
-        if any(v == INF for v in w.coords.values()):
+        if not w.is_finite():
             raise ValueError("oracle construction requires a finite vector")
         plane = TropicalPlane(w)
 

@@ -340,3 +340,31 @@ def test_readme_command_lines_parse():
             args = build_parser().parse_args(shlex.split(line)[1:])
             seen.add((args.group, args.action))
     assert seen == parser_pairs()
+
+
+@pytest.mark.parametrize("n, point, circuit", [
+    (10, "0,0,0,0,0,0,0,0,5,9", "1,9,10"),
+    (6, "0,0,0,1,2,4", "145"),
+])
+def test_plane_member_names_the_circuit_by_its_leaves(n, point, circuit, tmp_path):
+    """Digits up to nine leaves, as before; past nine, leaves joined by
+    commas, as in the JSON coordinate keys."""
+    w_path = tmp_path / "w.json"
+    w_path.write_text(basis_vector(2, n, (1, 2)).to_json())
+    out = tmp_path / "report.json"
+    assert run(["plane", "member", "--w", str(w_path), f"--point={point}",
+                "--output", str(out)]) == 0
+    report = load_report(out)
+    assert report["member"] is False
+    assert report["violating_circuit"] == circuit
+
+
+def test_g36_facet_census_claim_is_a_json_object(tmp_path):
+    from tropgrass import g36
+
+    out = tmp_path / "report.json"
+    assert run(["g36", "verify", "--output", str(out)]) == 0
+    claim = next(c for c in load_report(out)["claims"] if c["name"] == "facet_census")
+    census = g36.facet_census(g36.build_g36())
+    assert claim["expected"] == census
+    assert claim["actual"] == census

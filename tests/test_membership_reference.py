@@ -1,23 +1,31 @@
 """Two algorithms, one answer: sparse circuit evaluation against a dense
 reference.
 
-`TropPolynomial` evaluates each finite term on its own support, and
-`TropicalPlane.contains` coerces the point once for all circuits.  The
-reference below is the dense evaluation these replaced: every term
-forms c + sum_i e_i * x_i over all coordinates, and membership rebuilds
-each circuit's coefficient list from w and coerces the point again for
-every circuit.
+`TropPolynomial` evaluates each finite term on its own support, in ints:
+its coefficients over their common denominator L, the point scaled once
+to (m*x, m).  `TropicalPlane.contains` coerces and scales the point once
+for all circuits.  The reference below is the dense `Fraction`
+evaluation these replaced: every term forms c + sum_i e_i * x_i over all
+coordinates, and membership rebuilds each circuit's coefficient list
+from w and coerces the point again for every circuit.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 from tropgrass.g36 import FACET_SAMPLES, facet_cone_sample
-from tropgrass.minplus import TropPolynomial, ext, tropical_minors
-from tropgrass.pvector import INF, PlueckerVector, d_subsets
+from tropgrass.minplus import (
+    TropPolynomial,
+    ext,
+    finite_point,
+    scaled_point,
+    tropical_minors,
+)
+from tropgrass.pvector import INF, PlueckerVector, d_subsets, phi
 from tropgrass.troplin import DegenerateCircuit, TropicalPlane
 
 
@@ -176,3 +184,137 @@ def test_membership_matches_dense_reference():
     # both answers, infinite weights and the degenerate refusal occur
     assert answers[True] > 150 and answers[False] > 150
     assert infinite >= 3 and degenerate > 0
+
+
+# -- the integer scale ----------------------------------------------------
+# Every benchmark input is integral, so L = m = 1 there; these cases
+# reach L > 1 and m > 1.
+
+COPRIME = (2, 3, 5, 7, 11)
+BIG_PRIME = 2**61 - 1
+
+
+def rational(rng):
+    """A rational of either sign over a coprime or a large prime
+    denominator."""
+    return Fraction(rng.randint(-40, 40), rng.choice(COPRIME + (BIG_PRIME,)))
+
+
+def test_scaled_point():
+    x = finite_point([Fraction(1, 2), -3, Fraction(-5, 3), Fraction(2, BIG_PRIME)], 4)
+    xs, m = scaled_point(x)
+    assert m == 6 * BIG_PRIME
+    assert all(type(v) is int for v in xs)
+    assert [Fraction(v, m) for v in xs] == x
+    assert scaled_point(finite_point([0, -7], 2)) == ([0, -7], 1)
+
+
+def test_coprime_denominators_match_dense_reference():
+    """Coefficients over coprime denominators (L > 1), rational points
+    (m > 1), negative values and INF coefficients; half the polynomials
+    get a coefficient that ties a second term with the minimum."""
+    rng = random.Random(21)
+    tied = scaled = 0
+    for _ in range(400):
+        nvars = rng.randint(1, 4)
+        exps = list({tuple(rng.randint(0, 3) for _ in range(nvars))
+                     for _ in range(rng.randint(2, 6))})
+        terms = {e: INF if rng.random() < 0.2 else rational(rng) for e in exps}
+        terms[exps[0]] = rational(rng)
+        x = [rng.choice([rng.randint(-5, 5), rational(rng)]) for _ in range(nvars)]
+        if len(exps) > 1 and rng.random() < 0.5:
+            best, _ = reference_argmin(terms, x)
+            e = exps[-1]
+            terms[e] = best - sum(k * v for k, v in zip(e, x))
+        F = TropPolynomial(nvars, terms)
+        best, tight = reference_argmin(F.terms, reference_point(x, nvars))
+        assert F.evaluate(x) == best
+        assert F.tight_terms(x) == tight
+        assert F.on_hypersurface(x) == (len(tight) >= 2)
+        tied += len(tight) >= 2
+        L = lcm(*(c.denominator for c in F.terms.values() if c is not INF))
+        scaled += L > 1 and scaled_point(finite_point(x, nvars))[1] > 1
+    assert tied > 100 and scaled > 200
+
+
+def test_evaluation_scales_with_coefficients_and_point():
+    """Scaling every coefficient and the point by k > 0 scales the
+    minimum by k and keeps the terms that attain it."""
+    rng = random.Random(22)
+    for _ in range(300):
+        F = random_polynomial(rng)
+        x = [rational(rng) for _ in range(F.nvars)]
+        k = rng.choice([2, 7, Fraction(3, 5), Fraction(BIG_PRIME, 6)])
+        G = TropPolynomial(F.nvars, {e: c if c is INF else k * c
+                                     for e, c in F.terms.items()})
+        kx = [k * v for v in x]
+        assert G.evaluate(kx) == k * F.evaluate(x)
+        assert G.tight_terms(kx) == F.tight_terms(x)
+
+
+def rational_planes(rng):
+    """Tropical Pluecker vectors over coprime and large prime
+    denominators: minors of rational matrices, some with INF entries, and
+    facet samples scaled by 1/p and shifted by phi of a rational vector."""
+    for d, n in ((2, 5), (2, 6), (3, 6), (2, 10)):
+        for _ in range(2):
+            yield tropical_minors([[rational(rng) for _ in range(n)] for _ in range(d)])
+            yield tropical_minors([[INF if rng.random() < 0.2 else rational(rng)
+                                    for _ in range(n)] for _ in range(d)])
+    for cls in sorted(FACET_SAMPLES):
+        yield (facet_cone_sample(cls).scale(Fraction(1, BIG_PRIME))
+               + phi([rational(rng) for _ in range(6)], 3))
+
+
+def test_rational_planes_match_dense_reference():
+    """Weights over coprime and large prime denominators, with INF
+    coordinates, at cocircuit points shifted by 1/p along (1, ..., 1)."""
+    rng = random.Random(23)
+    answers = {True: 0, False: 0}
+    for w in rational_planes(rng):
+        plane = TropicalPlane(w)
+        for x in sample_points(w, rng):
+            x = [v + Fraction(1, BIG_PRIME) for v in x]
+            got = plane.contains(x)
+            want = reference_contains(w, x)
+            assert (bool(got), got.violating_circuit) == want, (w, x)
+            answers[want[0]] += 1
+    assert answers[True] > 100 and answers[False] > 100
+
+
+def test_foreign_infinity_is_read_as_inf():
+    """A float infinity that is not pvector.INF is coerced to INF by
+    PlueckerVector and TropPolynomial, so identity tests see it."""
+    other = float("1e400")
+    assert other == INF and other is not INF
+    w = PlueckerVector(2, 4, {(1, 2): other, (1, 3): Fraction(1, 3),
+                              (1, 4): -2, (2, 3): Fraction(5, 7)})
+    assert w[(1, 2)] is INF and not w.is_finite()
+    plane = TropicalPlane(w)
+    for x in sample_points(w, random.Random(24)):
+        assert (bool(plane.contains(x)), plane.contains(x).violating_circuit) == \
+            reference_contains(w, x)
+    with pytest.raises(ValueError, match="at least one finite"):
+        PlueckerVector(2, 3, {S: other for S in d_subsets(2, 3)})
+
+    F = TropPolynomial(2, [((1, 0), other), ((0, 1), Fraction(1, 3)), ((0, 0), 2)])
+    assert F.terms[(1, 0)] is INF
+    assert F.evaluate([-100, 0]) == Fraction(1, 3)
+    assert F.tight_terms([0, Fraction(5, 3)]) == {(0, 1), (0, 0)}
+    for bad in ([other, 0], [0, other]):
+        with pytest.raises(ValueError, match="finite"):
+            F.evaluate(bad)
+    with pytest.raises(ValueError, match="at least one finite"):
+        TropPolynomial(1, [((1,), other)])
+
+
+def test_rational_degenerate_circuit():
+    """A circuit with one finite coefficient is refused before any point
+    is scaled, with rational weights too, and named by its leaves."""
+    for n, label in ((5, "123"), (10, "1,2,3")):
+        w = PlueckerVector(2, n, {S: INF if S in ((1, 2), (1, 3)) else Fraction(1, BIG_PRIME)
+                                  for S in d_subsets(2, n)})
+        with pytest.raises(DegenerateCircuit):
+            reference_contains(w, [Fraction(1, 3)] * n)
+        with pytest.raises(DegenerateCircuit, match=f"^circuit {label} has"):
+            TropicalPlane(w).contains([Fraction(1, 3)] * n)

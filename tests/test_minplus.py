@@ -1,5 +1,6 @@
 """Min-plus arithmetic, tropical polynomials and matrices."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -108,6 +109,47 @@ def test_tropical_minors_match_submatrix_determinants():
     for S in pv.subsets:
         assert pv[S] == m.column_submatrix(S).tropical_determinant()
     assert tropical_minors([[0, 1, 2], [3, 0, 1]])[(1, 2)] == 0
+
+
+def _fraction_permutation_sums(rows):
+    """Reference: the Fraction sum of every permutation that meets no
+    infinite entry."""
+    sums = []
+    for perm in permutations(range(len(rows))):
+        vals = [rows[r][c] for r, c in enumerate(perm)]
+        if all(v != INF for v in vals):
+            sums.append(sum(vals, Fraction(0)))
+    return sums
+
+
+def test_integer_minors_match_fraction_enumeration():
+    """One common denominator per matrix and int sums give the minors
+    and the singularity verdicts of Fraction sums, on rational, 0/1 and
+    infinite entries."""
+    rng = random.Random(13)
+    entries = [
+        lambda: Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 5, 7))),
+        lambda: rng.randint(0, 1),
+        lambda: INF if rng.random() < 0.2 else rng.randint(-9, 9),
+        lambda: float("inf") if rng.random() < 0.2 else Fraction(rng.randint(0, 9), 4),
+    ]
+    singular = infinite = 0
+    for d, n in ((2, 8), (3, 6), (3, 7), (4, 5)):
+        for _ in range(12):
+            entry = rng.choice(entries)
+            rows = [[entry() for _ in range(n)] for _ in range(d)]
+            pv = tropical_minors(rows)
+            for S in pv.subsets:
+                sub = [[ext(row[c - 1]) for c in S] for row in rows]
+                sums = _fraction_permutation_sums(sub)
+                want = min(sums) if sums else INF
+                assert pv[S] == want and (pv[S] is INF) == (want is INF)
+                assert TropMatrix(sub).tropical_determinant() == want
+                verdict = not sums or sums.count(want) >= 2
+                assert TropMatrix(sub).is_tropically_singular() == verdict
+                singular += verdict
+                infinite += want is INF
+    assert singular > 50 and infinite > 5
 
 
 def test_polynomial_evaluation_and_tightness():

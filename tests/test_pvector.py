@@ -62,6 +62,36 @@ def test_equals_mod_phi_invariance(a, coords):
     assert w.reduce_mod_phi() == shifted.reduce_mod_phi()
 
 
+def test_equals_mod_phi_reduces_the_difference_once():
+    """Equal modulo image(phi) exactly when the two reductions agree."""
+    rng = random.Random(8)
+    agree = 0
+    for n in range(3, 8):
+        for d in range(2, n):
+            for _ in range(4):
+                w = PlueckerVector(d, n, {S: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                          for S in d_subsets(d, n)})
+                v = w + phi([Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                             for _ in range(n)], d)
+                if rng.random() < 0.5:
+                    v = v + basis_vector(d, n, rng.choice(d_subsets(d, n)))
+                want = w.reduce_mod_phi() == v.reduce_mod_phi()
+                assert w.equals_mod_phi(v) == v.equals_mod_phi(w) == want
+                agree += want
+    assert 20 < agree < 80
+
+
+def test_equals_mod_phi_across_shapes_and_infinities():
+    w = PlueckerVector(2, 5, {})
+    assert not w.equals_mod_phi(PlueckerVector(3, 5, {}))
+    assert not w.equals_mod_phi(PlueckerVector(2, 6, {}))
+    infinite = PlueckerVector(2, 5, {(1, 2): INF})
+    for a, b in ((w, infinite), (infinite, w), (infinite, infinite),
+                 (PlueckerVector(2, 6, {}), infinite)):
+        with pytest.raises(ValueError, match="infinite coordinates"):
+            a.equals_mod_phi(b)
+
+
 def _gauss_solve(matrix, rhs):
     """Reference: solve a square rational system by Gaussian elimination."""
     n = len(matrix)

@@ -91,6 +91,13 @@ def test_degenerate_circuit():
         circuits(w)
 
 
+@pytest.mark.parametrize("n, label", [(4, "123"), (10, "1,2,3")])
+def test_degenerate_circuit_is_named_by_its_leaves(n, label):
+    w = PlueckerVector(2, n, {(1, 2): INF, (1, 3): INF})
+    with pytest.raises(DegenerateCircuit, match=f"^circuit {label} has fewer"):
+        circuits(w)
+
+
 # -- membership -----------------------------------------------------------
 
 
@@ -106,6 +113,15 @@ def test_membership_on_and_off():
     bad = plane.contains(off)
     assert not bad and bad.violating_circuit is not None
     assert off not in plane
+
+
+@pytest.mark.parametrize("n, point, label", [
+    (6, [0, 0, 0, 1, 2, 4], "145"),
+    (10, [0, 0, 0, 0, 0, 0, 0, 0, 5, 9], "1,9,10"),
+])
+def test_membership_repr_names_the_circuit_by_its_leaves(n, point, label):
+    res = TropicalPlane(basis_vector(2, n, (1, 2))).contains(point)
+    assert repr(res) == f"Membership(False, violating_circuit={label})"
 
 
 def test_membership_invariant_under_global_shift():

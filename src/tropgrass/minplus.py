@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import lcm
 
@@ -19,8 +20,10 @@ from .pvector import INF, PlueckerVector, d_subsets, ext
 
 
 def finite_point(x, n: int):
-    """Coerce x to a list of n Fractions; evaluation points must be finite."""
-    x = [ext(v) for v in x]
+    """Coerce x to a list of n finite rationals: an int stays an int and
+    every other value becomes a Fraction; evaluation points must be
+    finite."""
+    x = [v if type(v) is int else ext(v) for v in x]
     if len(x) != n:
         raise ValueError("point length does not match variable count")
     if any(v is INF for v in x):
@@ -184,6 +187,25 @@ def trop_linear_form(coeffs) -> TropPolynomial:
         exp[i] = 1
         terms.append((tuple(exp), c))
     return TropPolynomial(n, terms)
+
+
+@lru_cache(maxsize=16)
+def _unit_exponents(n: int):
+    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+
+
+def scaled_linear_form(coeffs, L, scaled) -> TropPolynomial:
+    """trop_linear_form(coeffs) from coefficients a caller has already
+    scaled: `scaled` lists (index, L * coeffs[index]) as ints for every
+    finite coefficient, in index order, over a common denominator L of
+    them.  Skips the exponent validation and the lcm."""
+    F = TropPolynomial.__new__(TropPolynomial)
+    units = _unit_exponents(len(coeffs))
+    F.nvars = len(coeffs)
+    F.terms = dict(zip(units, coeffs))
+    F._denominator = L
+    F._finite = [(units[i], c, ((i, 1),)) for i, c in scaled]
+    return F
 
 
 class TropMatrix:

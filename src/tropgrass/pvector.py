@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 INF = float("inf")
 
@@ -118,16 +118,34 @@ class PlueckerVector:
 
     def __sub__(self, other):
         self._check(other)
+        for S in self.subsets:
+            if other.coords[S] is INF:
+                raise self._not_extended_real(
+                    S, "undefined" if self.coords[S] is INF else "-inf")
         return PlueckerVector(
             self.d, self.n, {S: self.coords[S] - other.coords[S] for S in self.subsets}
         )
 
     def __neg__(self):
+        self._refuse_infinite("-inf")
         return PlueckerVector(self.d, self.n, {S: -v for S, v in self.coords.items()})
 
     def scale(self, c):
         c = Fraction(c)
+        if c <= 0:
+            self._refuse_infinite("-inf" if c else "undefined")
         return PlueckerVector(self.d, self.n, {S: v * c for S, v in self.coords.items()})
+
+    def _refuse_infinite(self, result):
+        """Raise if any coordinate is INF, whose image would be `result`."""
+        S = next((S for S, v in self.coords.items() if v is INF), None)
+        if S is not None:
+            raise self._not_extended_real(S, result)
+
+    def _not_extended_real(self, S, result):
+        return ValueError(
+            f"coordinate {_json_key(S, self.n)} of the result is {result}, "
+            "which is not an extended real here")
 
     def _check(self, other):
         if (self.d, self.n) != (other.d, other.n):
@@ -171,14 +189,32 @@ class PlueckerVector:
             raise ValueError("reduce_mod_phi needs 2 <= d < n")
 
     def equals_mod_phi(self, other) -> bool:
-        """Whether self and other agree modulo image(phi).  The reduction
-        is linear, so only their difference is reduced; vectors of
-        different shapes are never equal, but each must be reducible."""
+        """Whether self and other agree modulo image(phi); vectors of
+        different shapes are never equal, but each must be reducible.
+
+        Decided in ints: u is the difference times the lcm of all
+        denominators, and u lies in image(phi) iff it equals phi of the
+        closed-form preimage of reduce_mod_phi, which a*(a + n*b) turns
+        into the int vector X = (a + n*b) * r - b * sum(r)."""
         self._check_reducible()
         other._check_reducible()
         if (self.d, self.n) != (other.d, other.n):
             return False
-        return not any((self - other).reduce_mod_phi().coords.values())
+        n, d = self.n, self.d
+        a, b = comb(n - 2, d - 1), comb(n - 2, d - 2)
+        pairs = [(self.coords[S], other.coords[S]) for S in self.subsets]
+        D = lcm(*(v.denominator for pair in pairs for v in pair))
+        u = [p.numerator * (D // p.denominator) - q.numerator * (D // q.denominator)
+             for p, q in pairs]
+        r = [0] * n
+        for S, uS in zip(self.subsets, u):
+            for i in S:
+                r[i - 1] += uS
+        total = sum(r)
+        X = [(a + n * b) * ri - b * total for ri in r]
+        scale = a * (a + n * b)
+        return all(uS * scale == sum(X[i - 1] for i in S)
+                   for S, uS in zip(self.subsets, u))
 
     # -- JSON wire format ------------------------------------------------
 

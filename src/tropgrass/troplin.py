@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .minplus import ext, finite_point, scaled_point, trop_linear_form
+from .minplus import ext, finite_point, scaled_linear_form, scaled_point
 from .pvector import INF, PlueckerVector, _json_key, d_subsets, subset_tuple
 
 _TYPE_GUARD_D = (2, 3)
@@ -43,13 +44,21 @@ class DPartition:
 
     @classmethod
     def parse(cls, text, n=None):
-        blocks = [[int(c) for c in chunk] for chunk in text.split("|")]
+        """Read str(p) back.  Without n, a text of more than nine leaves
+        (or with a comma) is read in the comma form."""
+        chunks = text.split("|")
+        leaves = len(text) - len(chunks) + 1 if n is None else n
+        wide = "," in text or leaves > 9
+        blocks = [[int(c) for c in (chunk.split(",") if wide else chunk)]
+                  for chunk in chunks]
         if n is None:
             n = sum(len(b) for b in blocks)
         return cls(n, blocks)
 
     def __str__(self):
-        return "|".join("".join(str(i) for i in b) for b in self.blocks)
+        """Blocks joined by "|", each block's leaves by the pvector
+        `_json_key` rule: digits for n <= 9, commas for n >= 10."""
+        return "|".join(_json_key(b, self.n) for b in self.blocks)
 
     __repr__ = __str__
 
@@ -77,6 +86,7 @@ class TropicalPlane:
 
     def __init__(self, w: PlueckerVector):
         self.w = w
+        self._table = None
         self._circuits = None
 
     @property
@@ -90,25 +100,45 @@ class TropicalPlane:
     def circuit_subsets(self):
         return subset_tuple(self.w.d + 1, self.w.n)
 
-    def circuits(self):
-        """The C(n, d+1) tropical linear forms F_J, J of size d+1, with
-        coefficient w_{J minus j} on x_j."""
-        if self._circuits is None:
-            out = []
+    def _scaled_circuits(self):
+        """(L, table): L is the lcm of the finite coordinates'
+        denominators, and the table holds per circuit J, in the order of
+        circuit_subsets(), its finite (j - 1, L * w_{J minus j}) pairs
+        as ints.  Raises DegenerateCircuit at the first J with fewer
+        than two."""
+        if self._table is None:
+            coords = self.w.coords
+            L = lcm(*(v.denominator for v in coords.values() if v is not INF))
+            scaled = {S: v.numerator * (L // v.denominator)
+                      for S, v in coords.items() if v is not INF}
+            table = []
             for J in self.circuit_subsets():
-                coeffs = [INF] * self.n
-                finite = 0
-                for j in J:
-                    c = self.w[tuple(x for x in J if x != j)]
-                    coeffs[j - 1] = c
-                    if c is not INF:
-                        finite += 1
-                if finite < 2:
+                row = []
+                for k, j in enumerate(J):
+                    c = scaled.get(J[:k] + J[k + 1:])
+                    if c is not None:
+                        row.append((j - 1, c))
+                if len(row) < 2:
                     raise DegenerateCircuit(
                         f"circuit {_json_key(J, self.n)} has fewer than "
                         "two finite coefficients"
                     )
-                out.append(trop_linear_form(coeffs))
+                table.append(row)
+            self._table = L, table
+        return self._table
+
+    def circuits(self):
+        """The C(n, d+1) tropical linear forms F_J, J of size d+1, with
+        coefficient w_{J minus j} on x_j."""
+        if self._circuits is None:
+            L, table = self._scaled_circuits()
+            coords = self.w.coords
+            out = []
+            for J, row in zip(self.circuit_subsets(), table):
+                coeffs = [INF] * self.n
+                for k, j in enumerate(J):
+                    coeffs[j - 1] = coords[J[:k] + J[k + 1:]]
+                out.append(scaled_linear_form(coeffs, L, row))
             self._circuits = out
         return self._circuits
 
@@ -116,10 +146,16 @@ class TropicalPlane:
         """Whether x lies on every circuit hypersurface; returns a
         truthy/falsy result carrying the first violating circuit.  The
         point is coerced, validated and scaled to integers once, also when
-        there are no circuits (d = n)."""
+        there are no circuits (d = n).  With x scaled to (m*x, m), the
+        term of x_j in circuit J is compared as the int
+        L*w_{J minus j}*m + L*m*x_j."""
         xs, m = scaled_point(finite_point(x, self.n))
-        for J, F in zip(self.circuit_subsets(), self.circuits()):
-            if len(F._argmin(xs, m)[1]) < 2:
+        L, table = self._scaled_circuits()
+        if L != 1:
+            xs = [L * v for v in xs]
+        for J, row in zip(self.circuit_subsets(), table):
+            terms = [c * m + xs[i] for i, c in row]
+            if terms.count(min(terms)) < 2:
                 return Membership(False, J, self.n)
         return Membership(True, None, self.n)
 
@@ -328,6 +364,15 @@ class ReconstructionError(ValueError):
     """The oracle is inconsistent with every Pluecker vector in bound."""
 
 
+def _ratio(v):
+    """v as (numerator, denominator) in lowest terms, exactly also for
+    a float; None for INF, -inf, NaN and a value that is no number."""
+    try:
+        return v.as_integer_ratio()
+    except (AttributeError, OverflowError, ValueError):
+        return None
+
+
 def reconstruct_plucker(oracle: PlaneOracle, d=None, n=None, bound=1):
     """Recover w modulo image(phi) from a plane oracle.
 
@@ -337,28 +382,43 @@ def reconstruct_plucker(oracle: PlaneOracle, d=None, n=None, bound=1):
     test, and the circuit on I + {j,k} then forces
     w_{I+j} - w_{I+k} = x_j - x_k.  The differences are glued into a
     single vector, anchored at 0 on the first d-subset.
+
+    Each witness is read as ints over the lcm m of its denominators, so
+    the height, slack and bound tests compare ints.  The glued values
+    are ints over one running common denominator D, which grows to
+    lcm(D, m) when a witness needs it; only the returned coordinates
+    are Fractions.
     """
     d = oracle.d if d is None else d
     n = oracle.n if n is None else n
     bound = Fraction(bound)
-    M = 4 * bound * n + 1
-    slack = 2 * bound + 1
+    bp, bq = bound.numerator, bound.denominator
+    M = Fraction(4 * bp * n + bq, bq)
+    height = M.as_integer_ratio()
+    low = 2 * bp * (2 * n - 1)  # M - (2*bound + 1) = low / bq
     subsets = d_subsets(d, n)
     index = {S: i for i, S in enumerate(subsets)}
-    # weighted union-find over d-subsets: value[S] - value[root] tracked
+    # weighted union-find over d-subsets: offset[i] is
+    # D * (value[i] - value[parent[i]])
     parent = list(range(len(subsets)))
-    offset = [Fraction(0)] * len(subsets)
+    offset = [0] * len(subsets)
+    D = 1
 
     def find(i):
-        if parent[i] == i:
-            return i, Fraction(0)
-        root, above = find(parent[i])
-        parent[i] = root
-        offset[i] += above
-        return root, offset[i]
+        """(root of i, D * (value[i] - value[root])), compressing the path."""
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        above = 0
+        for k in reversed(path):
+            above += offset[k]
+            offset[k] = above
+            parent[k] = i
+        return i, above
 
     def union(i, j, diff):
-        """Record value_i - value_j = diff; False on contradiction."""
+        """Record D * (value_i - value_j) = diff; False on contradiction."""
         ri, oi = find(i)
         rj, oj = find(j)
         if ri == rj:
@@ -371,40 +431,49 @@ def reconstruct_plucker(oracle: PlaneOracle, d=None, n=None, bound=1):
         x = oracle.witness(set(I), M)
         if len(x) != n:
             raise ReconstructionError("witness has wrong length")
+        ratios = [_ratio(v) for v in x]
         for i in I:
-            if x[i - 1] != M:
+            if ratios[i - 1] != height:
                 raise ReconstructionError(
                     f"witness for I={I} does not sit at height M on I"
                 )
         rest = [m for m in range(1, n + 1) if m not in I]
-        if any(x[m - 1] > M - slack for m in rest):
-            raise ReconstructionError(
-                f"witness for I={I} is not far below M off I"
-            )
+        for k in rest:
+            r = ratios[k - 1]
+            if (x[k - 1] == INF) if r is None else r[0] * bq > low * r[1]:
+                raise ReconstructionError(
+                    f"witness for I={I} is not far below M off I"
+                )
         if not oracle.member(x):
             raise ReconstructionError(f"witness for I={I} fails membership")
+        finite = {k: ratios[k - 1] for k in rest if ratios[k - 1]}
+        m = lcm(*(q for _, q in finite.values()))
+        xs = {k: p * (m // q) for k, (p, q) in finite.items()}
+        if D % m:
+            grow = lcm(D, m) // D
+            offset[:] = [o * grow for o in offset]
+            D *= grow
+        per = D // m
+        limit = 2 * bp * m  # |dx| * bq > limit iff |dx / m| > 2 * bound
         k0 = rest[0]
+        Sk = index[tuple(sorted(I + (k0,)))]
         for j in rest[1:]:
-            diff = x[j - 1] - x[k0 - 1]
-            if abs(diff) > 2 * bound:
+            if j not in xs or k0 not in xs or abs(xs[j] - xs[k0]) * bq > limit:
                 raise ReconstructionError(
                     f"difference for I={I} exceeds the stated bound"
                 )
-            Sj = tuple(sorted(set(I) | {j}))
-            Sk = tuple(sorted(set(I) | {k0}))
-            if not union(index[Sj], index[Sk], diff):
+            Sj = index[tuple(sorted(I + (j,)))]
+            if not union(Sj, Sk, (xs[j] - xs[k0]) * per):
                 raise ReconstructionError(
                     "inconsistent differences across witnesses"
                 )
-    root0, _ = find(0)
+    root0, base = find(0)
     coords = {}
-    for S in subsets:
-        r, off = find(index[S])
+    for i, S in enumerate(subsets):
+        r, off = find(i)
         if r != root0:
             raise ReconstructionError("difference graph is disconnected")
-        coords[S] = off
-    base = coords[subsets[0]]
-    coords = {S: v - base for S, v in coords.items()}
+        coords[S] = Fraction(off - base, D)
     return PlueckerVector(d, n, coords)
 
 

@@ -23,6 +23,7 @@ from tropgrass.minplus import (
     ext,
     finite_point,
     scaled_point,
+    trop_linear_form,
     tropical_minors,
 )
 from tropgrass.pvector import INF, PlueckerVector, d_subsets, phi
@@ -280,6 +281,28 @@ def test_rational_planes_match_dense_reference():
             assert (bool(got), got.violating_circuit) == want, (w, x)
             answers[want[0]] += 1
     assert answers[True] > 100 and answers[False] > 100
+
+
+def test_circuits_equal_linear_forms_of_rational_planes():
+    """The forms built from the plane's integer table over one common
+    denominator equal trop_linear_form of each circuit's coefficients,
+    and evaluate alike."""
+    rng = random.Random(25)
+    for w in rational_planes(rng):
+        try:
+            forms = TropicalPlane(w).circuits()
+        except DegenerateCircuit:
+            continue
+        for J, F in zip(combinations(range(1, w.n + 1), w.d + 1), forms):
+            coeffs = [INF] * w.n
+            for j in J:
+                coeffs[j - 1] = w[tuple(i for i in J if i != j)]
+            G = trop_linear_form(coeffs)
+            assert F == G and hash(F) == hash(G) and repr(F) == repr(G)
+            assert F.to_json() == G.to_json() and F.is_homogeneous()
+            x = [rational(rng) for _ in range(w.n)]
+            assert F.evaluate(x) == G.evaluate(x)
+            assert F.tight_terms(x) == G.tight_terms(x)
 
 
 def test_foreign_infinity_is_read_as_inf():

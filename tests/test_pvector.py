@@ -174,3 +174,61 @@ def test_json_keys_stay_digits_up_to_nine_leaves():
 def test_json_digit_key_is_refused_past_nine_leaves():
     with pytest.raises(ValueError, match="ambiguous for n = 10"):
         PlueckerVector.from_json('{"d": 2, "n": 10, "coords": {"110": "1"}}')
+
+
+# -- arithmetic with INF ------------------------------------------------------
+
+
+def test_arithmetic_refuses_results_outside_the_extended_reals():
+    """INF - INF and 0 * INF are undefined and -INF is no extended real
+    here; each is refused with the coordinate that would hold it."""
+    w = PlueckerVector(2, 4, {(1, 2): INF, (1, 3): 1})
+    finite = PlueckerVector(2, 4, {(1, 3): Fraction(1, 2)})
+    cases = [
+        (lambda: w - w, "undefined"),
+        (lambda: finite - w, "-inf"),
+        (lambda: -w, "-inf"),
+        (lambda: w.scale(-1), "-inf"),
+        (lambda: w.scale(Fraction(-1, 3)), "-inf"),
+        (lambda: w.scale(0), "undefined"),
+    ]
+    for op, result in cases:
+        with pytest.raises(ValueError, match=f"^coordinate 12 of the result is {result}, "
+                                             "which is not an extended real here$"):
+            op()
+    assert (w + w)[(1, 2)] is INF and (w + w)[(1, 3)] == 2
+    assert (w - finite)[(1, 2)] is INF and (w - finite)[(1, 3)] == Fraction(1, 2)
+    assert w.scale(3)[(1, 2)] is INF and w.scale(3)[(1, 3)] == 3
+    assert -finite == finite.scale(-1) and finite.scale(0) == PlueckerVector(2, 4, {})
+
+
+def test_arithmetic_names_a_coordinate_past_nine_leaves():
+    w = PlueckerVector(2, 10, {(1, 10): INF})
+    with pytest.raises(ValueError, match="^coordinate 1,10 of the result is -inf"):
+        -w
+
+
+# -- equals_mod_phi in ints ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_equals_mod_phi_matches_reduction_for_every_shape(n):
+    """Equal pairs v + phi(a) and near misses one coordinate off by 1/q,
+    over coprime denominators, for every 2 <= d < n.  At d = n - 1, phi
+    is onto, so the near misses are equal too."""
+    rng = random.Random(40 + n)
+
+    def rational():
+        return Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 5, 7, 2**61 - 1)))
+
+    for d in range(2, n):
+        for _ in range(3):
+            v = PlueckerVector(d, n, {S: rational() for S in d_subsets(d, n)})
+            a = [rational() for _ in range(n)]
+            same = v + phi(a, d)
+            S = rng.choice(d_subsets(d, n))
+            off = same + PlueckerVector(d, n, {S: Fraction(rng.choice((-1, 1)),
+                                                           rng.choice((1, 3, 11)))})
+            for u, want in ((same, True), (off, d == n - 1), (v, True)):
+                assert (v.reduce_mod_phi() == u.reduce_mod_phi()) == want
+                assert v.equals_mod_phi(u) == u.equals_mod_phi(v) == want

@@ -167,6 +167,23 @@ def test_dpartition_parse_and_str():
         DPartition(6, [[1, 2], [3, 4]])
 
 
+def test_dpartition_past_nine_leaves():
+    """Leaves are joined by commas for n >= 10 (the JSON key rule), so
+    str and parse round-trip; n <= 9 keeps its digits."""
+    p = DPartition(10, [[1, 2], list(range(3, 11))])
+    assert str(p) == "1,2|3,4,5,6,7,8,9,10"
+    assert DPartition.parse(str(p)) == DPartition.parse(str(p), 10) == p
+    singles = DPartition(10, [[i] for i in range(1, 11)])
+    assert str(singles) == "1|2|3|4|5|6|7|8|9|10"
+    assert DPartition.parse(str(singles)) == singles
+    for q in obvious_types(3, 11):
+        assert DPartition.parse(str(q)) == q
+    assert DPartition.parse("1|2,3|4,5,6") == DPartition.parse("1|23|456")
+    assert str(DPartition(9, [[1, 9], range(2, 9)])) == "19|2345678"
+    with pytest.raises(ValueError, match="partition"):
+        DPartition.parse("12|345678910")
+
+
 def test_obvious_types():
     obv = obvious_types(3, 6)
     assert len(obv) == 15

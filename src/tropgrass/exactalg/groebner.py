@@ -26,9 +26,10 @@ generators must use a global order.  `buchberger` enforces this.
 from __future__ import annotations
 
 import heapq
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
+from ..pvector import scaled
 from .poly import MultiPoly, PolyRing
 from .scalars import PrimeField, RationalField
 
@@ -136,8 +137,7 @@ def _flatten(poly: MultiPoly, pack):
     if char:
         terms = {packed(e): c % char for e, c in poly.terms.items()}
     else:
-        denom = lcm(*(c.denominator for c in poly.terms.values()))
-        terms = {packed(e): int(c * denom) for e, c in poly.terms.items()}
+        terms = dict(zip(map(packed, poly.terms), scaled(poly.terms.values())[1]))
     return _normalize(terms, max(terms), char)
 
 

@@ -10,7 +10,7 @@ from operator import mul
 
 from ..complexes import integer_echelon
 from .groebner import StepBudgetExceeded, normal_form, reduced_groebner_basis
-from .orders import TermOrder, _integerize, degrevlex, elimination_order, weight_order
+from .orders import TermOrder, degrevlex, elimination_order, weight_order
 from .poly import MultiPoly, PolyRing
 from .scalars import GF, QQ
 
@@ -82,7 +82,7 @@ def initial_form(f: MultiPoly, w) -> MultiPoly:
     """Sum of the terms of f with minimal <exponent, w> (min convention)."""
     if f.is_zero():
         return f
-    iw = _integerize(w)
+    iw = TermOrder(w)._iw
     if len(iw) != f.ring.nvars:
         raise ValueError("weight length does not match variable count")
     return _initial_form(f, iw)

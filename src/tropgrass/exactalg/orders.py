@@ -9,15 +9,7 @@ w is a term of in_w(f).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
-
-def _integerize(weight):
-    """Scale a rational weight vector to integers (order-equivalent)."""
-    fracs = [Fraction(x) for x in weight]
-    denom = lcm(*[f.denominator for f in fracs]) if fracs else 1
-    return tuple(int(f * denom) for f in fracs)
+from ..pvector import ext, scaled
 
 
 class TermOrder:
@@ -31,9 +23,14 @@ class TermOrder:
     """
 
     def __init__(self, weight):
-        self.weight = tuple(Fraction(x) for x in weight)
+        self.weight = tuple(map(ext, weight))
         self.nvars = len(self.weight)
-        self._iw = _integerize(self.weight)
+        _, iw = scaled(self.weight)
+        if None in iw:
+            raise ValueError(
+                f"weight entry {iw.index(None) + 1} of {self.nvars} is inf; "
+                "a term order needs finite weights")
+        self._iw = tuple(iw)  # the weight scaled to ints, order-equivalent
         self._cache = {}
 
     def key(self, exp):

@@ -7,7 +7,6 @@ relations, minimalized by linear algebra in degree two.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 

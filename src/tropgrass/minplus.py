@@ -14,9 +14,8 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import lcm
 
-from .pvector import INF, PlueckerVector, d_subsets, ext
+from .pvector import INF, PlueckerVector, d_subsets, ext, scaled
 
 
 def finite_point(x, n: int):
@@ -29,13 +28,6 @@ def finite_point(x, n: int):
     if any(v is INF for v in x):
         raise ValueError("evaluation points must be finite")
     return x
-
-
-def scaled_point(x):
-    """A point coerced by finite_point as (m*x as ints, m), where m is
-    the least common multiple of its denominators."""
-    m = lcm(*(v.denominator for v in x))
-    return [v.numerator * (m // v.denominator) for v in x], m
 
 
 def trop_add(a, b):
@@ -62,7 +54,7 @@ class TropPolynomial:
     tolerated but never attain the minimum.
 
     The finite coefficients are also kept as ints over their common
-    denominator L.  At a point scaled to (m*x, m), the term c + <e, x>
+    denominator L.  At a point scaled to (m, m*x), the term c + <e, x>
     is compared as the int c*L*m + L*<e, m*x>, so every tie is decided
     by an int comparison.
     """
@@ -79,37 +71,35 @@ class TropPolynomial:
             if exp in clean:
                 raise ValueError(f"duplicate exponent {exp}")
             clean[exp] = ext(c)
-        finite = [(exp, c) for exp, c in clean.items() if c is not INF]
-        if not finite:
-            raise ValueError("need at least one finite coefficient")
         self.terms = clean
-        self._denominator = L = lcm(*(c.denominator for _, c in finite))
+        self._denominator, ints = scaled(clean.values())
         # each finite term as (exponent, L * coefficient, (index, exponent)
         # pairs of nonzero exponent), so that evaluation reads only the
         # coordinates it needs
         self._finite = [
-            (exp, c.numerator * (L // c.denominator),
-             tuple((i, e) for i, e in enumerate(exp) if e))
-            for exp, c in finite
+            (exp, c, tuple((i, e) for i, e in enumerate(exp) if e))
+            for exp, c in zip(clean, ints) if c is not None
         ]
+        if not self._finite:
+            raise ValueError("need at least one finite coefficient")
 
     def evaluate(self, x):
         """min over terms of coefficient + <exponent, x>."""
-        xs, m = scaled_point(finite_point(x, self.nvars))
-        return Fraction(self._argmin(xs, m)[0], self._denominator * m)
+        m, xs = scaled(finite_point(x, self.nvars))
+        return Fraction(self._argmin(m, xs)[0], self._denominator * m)
 
     def tight_terms(self, x):
         """The set of exponents attaining evaluate(F, x)."""
-        return set(self._argmin(*scaled_point(finite_point(x, self.nvars)))[1])
+        return set(self._argmin(*scaled(finite_point(x, self.nvars)))[1])
 
     def on_hypersurface(self, x) -> bool:
         """x lies on T(F) iff the minimum is attained at least twice."""
-        return len(self._argmin(*scaled_point(finite_point(x, self.nvars)))[1]) >= 2
+        return len(self._argmin(*scaled(finite_point(x, self.nvars)))[1]) >= 2
 
-    def _argmin(self, xs, m):
+    def _argmin(self, m, xs):
         """L*m times the minimum, and the list of exponents attaining it,
-        at a point scaled by scaled_point to (xs, m) = (m*x, m).  Each
-        finite term is evaluated on its own support."""
+        at a point scaled to (m, xs) = (m, m*x).  Each finite term is
+        evaluated on its own support."""
         L = self._denominator
         best = None
         tight = []
@@ -229,12 +219,11 @@ class TropMatrix:
         return TropMatrix([[row[c - 1] for c in cols] for row in self.entries])
 
     def _scaled_entries(self):
-        """(rows of L*entry as ints, None for INF; L), where L is the
-        least common multiple of the finite entries' denominators."""
-        L = lcm(*(v.denominator for row in self.entries for v in row
-                  if v is not INF))
-        return [[None if v is INF else v.numerator * (L // v.denominator)
-                 for v in row] for row in self.entries], L
+        """(rows of L*entry as ints, None for INF; L), over one common
+        denominator L of all entries."""
+        L, flat = scaled([v for row in self.entries for v in row])
+        k = self.ncols
+        return [flat[r * k:(r + 1) * k] for r in range(self.nrows)], L
 
     @classmethod
     def _permutation_sums(cls, rows, cols):

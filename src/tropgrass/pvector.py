@@ -2,7 +2,7 @@
 
 Also hosts the sum-over-subsets map phi : R^n -> R^C(n,d) whose image is
 the common lineality space of all cones of the tropical Grassmannian,
-and exact reduction modulo that image.
+exact reduction modulo that image, and `scaled`, which clears denominators.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
+from operator import sub
 
 INF = float("inf")
 
@@ -24,7 +25,18 @@ def ext(x):
         return x
     if x == INF:
         return INF
+    if x == -INF:
+        raise ValueError("a coordinate must be a rational or +inf, not -inf")
     return Fraction(x)
+
+
+def scaled(values):
+    """(L, ints) for a collection of values coerced by ext (ints,
+    Fractions or INF): L is the lcm of the finite values' denominators,
+    and ints holds L*v as an int for each finite v and None for INF."""
+    L = lcm(*(v.denominator for v in values if v is not INF))
+    return L, [None if v is INF else v.numerator * (L // v.denominator)
+               for v in values]
 
 
 @lru_cache(maxsize=64)
@@ -79,6 +91,24 @@ def phi(a, d: int):
     )
 
 
+def _phi_residual(d: int, n: int, u):
+    """(k*(u - phi(x)), k) for ints u over subset_tuple(d, n), with x the
+    least-squares preimage of u.  The Gram matrix of phi's columns is
+    aI + bJ with a = C(n-2, d-1) and b = C(n-2, d-2), so for r = phi^T(u),
+    x = (r - b*sum(r) / (a + n*b)) / a, and k = a*(a + n*b) makes k*x the
+    int vector X = (a + n*b)*r - b*sum(r)."""
+    a, b = comb(n - 2, d - 1), comb(n - 2, d - 2)
+    subsets = subset_tuple(d, n)
+    r = [0] * n
+    for S, uS in zip(subsets, u):
+        for i in S:
+            r[i - 1] += uS
+    total = sum(r)
+    X = [(a + n * b) * ri - b * total for ri in r]
+    k = a * (a + n * b)
+    return [uS * k - sum(X[i - 1] for i in S) for S, uS in zip(subsets, u)], k
+
+
 class PlueckerVector:
     """A rational (or +inf) coordinate per d-subset of [n].  Missing
     coordinates are 0; a key that is not a sorted d-subset raises
@@ -131,6 +161,8 @@ class PlueckerVector:
         return PlueckerVector(self.d, self.n, {S: -v for S, v in self.coords.items()})
 
     def scale(self, c):
+        if c in (INF, -INF):
+            raise ValueError(f"a scale factor must be a rational, not {c}")
         c = Fraction(c)
         if c <= 0:
             self._refuse_infinite("-inf" if c else "undefined")
@@ -162,25 +194,16 @@ class PlueckerVector:
         return hash((self.d, self.n, tuple(self.coords[S] for S in self.subsets)))
 
     def reduce_mod_phi(self):
-        """Canonical representative modulo image(phi).
-
-        Subtracts phi(x) where x is the least-squares preimage, computed
-        exactly over Q; two vectors agree modulo image(phi) iff their
-        reductions are equal.  Requires all coordinates finite and
-        2 <= d < n.
-
-        The Gram matrix of phi's columns is aI + bJ with a = C(n-2, d-1)
-        and b = C(n-2, d-2), so for r = phi^T(self) the preimage is
-        x = (r - b * sum(r) / (a + n*b)) / a.
-        """
+        """Canonical representative modulo image(phi): self - phi(x) for
+        the least-squares preimage x, computed exactly; two vectors agree
+        modulo image(phi) iff their reductions are equal.  Requires all
+        coordinates finite and 2 <= d < n."""
         self._check_reducible()
-        n, d = self.n, self.d
-        a, b = comb(n - 2, d - 1), comb(n - 2, d - 2)
-        r = [
-            sum(self.coords[S] for S in self.subsets if i + 1 in S) for i in range(n)
-        ]
-        shift = b * sum(r) / (a + n * b)
-        return self - phi([(ri - shift) / a for ri in r], d)
+        D, u = scaled(self.coords.values())
+        residual, k = _phi_residual(self.d, self.n, u)
+        return PlueckerVector(
+            self.d, self.n,
+            {S: Fraction(v, k * D) for S, v in zip(self.subsets, residual)})
 
     def _check_reducible(self):
         if not self.is_finite():
@@ -189,32 +212,16 @@ class PlueckerVector:
             raise ValueError("reduce_mod_phi needs 2 <= d < n")
 
     def equals_mod_phi(self, other) -> bool:
-        """Whether self and other agree modulo image(phi); vectors of
-        different shapes are never equal, but each must be reducible.
-
-        Decided in ints: u is the difference times the lcm of all
-        denominators, and u lies in image(phi) iff it equals phi of the
-        closed-form preimage of reduce_mod_phi, which a*(a + n*b) turns
-        into the int vector X = (a + n*b) * r - b * sum(r)."""
+        """Whether the residual of self - other is zero; vectors of
+        different shapes are never equal, but each must be reducible."""
         self._check_reducible()
         other._check_reducible()
         if (self.d, self.n) != (other.d, other.n):
             return False
-        n, d = self.n, self.d
-        a, b = comb(n - 2, d - 1), comb(n - 2, d - 2)
-        pairs = [(self.coords[S], other.coords[S]) for S in self.subsets]
-        D = lcm(*(v.denominator for pair in pairs for v in pair))
-        u = [p.numerator * (D // p.denominator) - q.numerator * (D // q.denominator)
-             for p, q in pairs]
-        r = [0] * n
-        for S, uS in zip(self.subsets, u):
-            for i in S:
-                r[i - 1] += uS
-        total = sum(r)
-        X = [(a + n * b) * ri - b * total for ri in r]
-        scale = a * (a + n * b)
-        return all(uS * scale == sum(X[i - 1] for i in S)
-                   for S, uS in zip(self.subsets, u))
+        _, ints = scaled([*self.coords.values(), *other.coords.values()])
+        N = len(self.subsets)
+        u = list(map(sub, ints[:N], ints[N:]))
+        return not any(_phi_residual(self.d, self.n, u)[0])
 
     # -- JSON wire format ------------------------------------------------
 

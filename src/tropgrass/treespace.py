@@ -21,7 +21,7 @@ from itertools import combinations
 from .complexes import SimplicialComplex
 from .exactalg.plucker import plucker_ring
 from .exactalg.scalars import QQ
-from .pvector import PlueckerVector, d_subsets, phi
+from .pvector import PlueckerVector
 
 
 class Split:

@@ -11,8 +11,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .minplus import ext, finite_point, scaled_linear_form, scaled_point
-from .pvector import INF, PlueckerVector, _json_key, d_subsets, subset_tuple
+from .minplus import finite_point, scaled_linear_form
+from .pvector import (
+    INF, PlueckerVector, _json_key, d_subsets, ext, scaled, subset_tuple)
 
 _TYPE_GUARD_D = (2, 3)
 _TYPE_GUARD_N = 7
@@ -101,21 +102,19 @@ class TropicalPlane:
         return subset_tuple(self.w.d + 1, self.w.n)
 
     def _scaled_circuits(self):
-        """(L, table): L is the lcm of the finite coordinates'
-        denominators, and the table holds per circuit J, in the order of
-        circuit_subsets(), its finite (j - 1, L * w_{J minus j}) pairs
-        as ints.  Raises DegenerateCircuit at the first J with fewer
-        than two."""
+        """(L, table): w scaled to ints over L by `scaled`, and per
+        circuit J, in the order of circuit_subsets(), its finite
+        (j - 1, L * w_{J minus j}) pairs.  Raises DegenerateCircuit at
+        the first J with fewer than two."""
         if self._table is None:
             coords = self.w.coords
-            L = lcm(*(v.denominator for v in coords.values() if v is not INF))
-            scaled = {S: v.numerator * (L // v.denominator)
-                      for S, v in coords.items() if v is not INF}
+            L, ints = scaled(coords.values())
+            ints = dict(zip(coords, ints))
             table = []
             for J in self.circuit_subsets():
                 row = []
                 for k, j in enumerate(J):
-                    c = scaled.get(J[:k] + J[k + 1:])
+                    c = ints[J[:k] + J[k + 1:]]
                     if c is not None:
                         row.append((j - 1, c))
                 if len(row) < 2:
@@ -146,10 +145,10 @@ class TropicalPlane:
         """Whether x lies on every circuit hypersurface; returns a
         truthy/falsy result carrying the first violating circuit.  The
         point is coerced, validated and scaled to integers once, also when
-        there are no circuits (d = n).  With x scaled to (m*x, m), the
+        there are no circuits (d = n).  With x scaled to (m, m*x), the
         term of x_j in circuit J is compared as the int
         L*w_{J minus j}*m + L*m*x_j."""
-        xs, m = scaled_point(finite_point(x, self.n))
+        m, xs = scaled(finite_point(x, self.n))
         L, table = self._scaled_circuits()
         if L != 1:
             xs = [L * v for v in xs]

@@ -200,6 +200,17 @@ def test_weight_of_another_grassmannian_is_a_usage_error(action, n, tmp_path, ca
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("action", ["initial", "monomial-free", "degree"])
+def test_infinite_weight_is_a_usage_error(action, tmp_path, capsys):
+    w_path = tmp_path / "w.json"
+    w_path.write_text('{"d": 2, "n": 4, "coords": {"12": "1", "24": "inf"}}')
+    argv = ["groebner", action, "--d", "2", "--n", "4", "--w", str(w_path)]
+    assert run(argv + ["--output", str(tmp_path / "report.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: weight entry 5 of 6 is inf; a term order needs finite weights\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_weight_file_with_unsorted_key_is_a_usage_error(tmp_path, capsys):
     w_path = tmp_path / "w.json"
     w_path.write_text('{"d": 2, "n": 4, "coords": {"12": "1", "31": "2"}}')

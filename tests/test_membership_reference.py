@@ -22,11 +22,10 @@ from tropgrass.minplus import (
     TropPolynomial,
     ext,
     finite_point,
-    scaled_point,
     trop_linear_form,
     tropical_minors,
 )
-from tropgrass.pvector import INF, PlueckerVector, d_subsets, phi
+from tropgrass.pvector import INF, PlueckerVector, d_subsets, phi, scaled
 from tropgrass.troplin import DegenerateCircuit, TropicalPlane
 
 
@@ -201,13 +200,25 @@ def rational(rng):
     return Fraction(rng.randint(-40, 40), rng.choice(COPRIME + (BIG_PRIME,)))
 
 
-def test_scaled_point():
+def test_scaled():
+    """`scaled` on ints, coprime and large prime denominators and INF:
+    L*v round-trips, None sits exactly at INF, and L is the lcm of the
+    finite values' denominators."""
+    rng = random.Random(26)
+    for _ in range(300):
+        values = [rng.choice([INF, rng.randint(-9, 9), rational(rng)])
+                  for _ in range(rng.randint(0, 8))]
+        L, ints = scaled(values)
+        finite = [v for v in values if v is not INF]
+        assert L == lcm(*(Fraction(v).denominator for v in finite))
+        assert [v is INF for v in values] == [c is None for c in ints]
+        assert [Fraction(c, L) for c in ints if c is not None] == finite
+        assert all(type(c) is int for c in ints if c is not None)
     x = finite_point([Fraction(1, 2), -3, Fraction(-5, 3), Fraction(2, BIG_PRIME)], 4)
-    xs, m = scaled_point(x)
-    assert m == 6 * BIG_PRIME
-    assert all(type(v) is int for v in xs)
-    assert [Fraction(v, m) for v in xs] == x
-    assert scaled_point(finite_point([0, -7], 2)) == ([0, -7], 1)
+    assert scaled(x) == (6 * BIG_PRIME, [3 * BIG_PRIME, -18 * BIG_PRIME,
+                                         -10 * BIG_PRIME, 12])
+    assert scaled(finite_point([0, -7], 2)) == (1, [0, -7])
+    assert scaled([INF, INF]) == (1, [None, None]) and scaled([]) == (1, [])
 
 
 def test_coprime_denominators_match_dense_reference():
@@ -215,7 +226,7 @@ def test_coprime_denominators_match_dense_reference():
     (m > 1), negative values and INF coefficients; half the polynomials
     get a coefficient that ties a second term with the minimum."""
     rng = random.Random(21)
-    tied = scaled = 0
+    tied = both = 0
     for _ in range(400):
         nvars = rng.randint(1, 4)
         exps = list({tuple(rng.randint(0, 3) for _ in range(nvars))
@@ -233,9 +244,9 @@ def test_coprime_denominators_match_dense_reference():
         assert F.tight_terms(x) == tight
         assert F.on_hypersurface(x) == (len(tight) >= 2)
         tied += len(tight) >= 2
-        L = lcm(*(c.denominator for c in F.terms.values() if c is not INF))
-        scaled += L > 1 and scaled_point(finite_point(x, nvars))[1] > 1
-    assert tied > 100 and scaled > 200
+        L = scaled(F.terms.values())[0]
+        both += L > 1 and scaled(finite_point(x, nvars))[0] > 1
+    assert tied > 100 and both > 200
 
 
 def test_evaluation_scales_with_coefficients_and_point():

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropgrass.minplus import TropPolynomial
 from tropgrass.pvector import (
     INF,
     PlueckerVector,
     basis_vector,
     d_subsets,
+    ext,
     parse_subset,
     phi,
     subset_key,
@@ -108,19 +110,37 @@ def _gauss_solve(matrix, rhs):
     return [A[i][n] for i in range(n)]
 
 
+def _gram_reduction(w):
+    """Reference: w minus phi of the solution of phi's normal equations."""
+    d, n = w.d, w.n
+    gram = [[sum(i in S and j in S for S in w.subsets) for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+    rhs = [sum(w[S] for S in w.subsets if i + 1 in S) for i in range(n)]
+    return w - phi(_gauss_solve(gram, rhs), d)
+
+
 def test_reduce_mod_phi_matches_gram_solve():
-    """The closed form against solving the normal equations of phi."""
+    """The closed form against solving the normal equations of phi, and
+    equals_mod_phi against whether that solve leaves the difference of
+    two vectors at zero: pairs that differ by phi of a random vector, and
+    pairs that differ by one more unit vector besides."""
     rng = random.Random(5)
+    outcomes = {True: 0, False: 0}
     for n in range(3, 9):
         for d in range(2, n):
-            subsets = d_subsets(d, n)
-            gram = [[sum(i in S and j in S for S in subsets) for j in range(1, n + 1)]
-                    for i in range(1, n + 1)]
+            zero = PlueckerVector(d, n, {})
             for _ in range(3):
                 w = PlueckerVector(d, n, {S: Fraction(rng.randint(-30, 30), rng.randint(1, 4))
-                                          for S in subsets})
-                rhs = [sum(w[S] for S in w.subsets if i + 1 in S) for i in range(n)]
-                assert w.reduce_mod_phi() == w - phi(_gauss_solve(gram, rhs), d)
+                                          for S in d_subsets(d, n)})
+                assert w.reduce_mod_phi() == _gram_reduction(w)
+                v = w + phi([Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                             for _ in range(n)], d)
+                for u in (v, v + basis_vector(d, n, rng.choice(w.subsets))):
+                    want = _gram_reduction(w - u) == zero
+                    assert w.equals_mod_phi(u) == u.equals_mod_phi(w) == want
+                    outcomes[want] += 1
+    # at d = n - 1 phi is onto, so only the other shapes give False
+    assert outcomes[True] > 70 and outcomes[False] > 40
 
 
 def test_infinite_coordinates_block_phi_reduction():
@@ -200,6 +220,24 @@ def test_arithmetic_refuses_results_outside_the_extended_reals():
     assert (w - finite)[(1, 2)] is INF and (w - finite)[(1, 3)] == Fraction(1, 2)
     assert w.scale(3)[(1, 2)] is INF and w.scale(3)[(1, 3)] == 3
     assert -finite == finite.scale(-1) and finite.scale(0) == PlueckerVector(2, 4, {})
+
+
+@pytest.mark.parametrize("factor", [INF, float("-inf")])
+def test_scale_refuses_a_factor_that_is_no_rational(factor):
+    w = PlueckerVector(2, 4, {(1, 2): 1})
+    with pytest.raises(ValueError, match="^a scale factor must be a rational, not "):
+        w.scale(factor)
+
+
+def test_minus_infinity_is_no_coordinate():
+    with pytest.raises(ValueError, match="^a coordinate must be a rational or "
+                                         r"\+inf, not -inf$"):
+        ext(float("-inf"))
+    with pytest.raises(ValueError, match="must be a rational or"):
+        PlueckerVector(2, 4, {(1, 2): float("-inf")})
+    with pytest.raises(ValueError, match="must be a rational or"):
+        TropPolynomial(1, [((1,), float("-inf"))])
+    assert ext(float("inf")) is INF and ext(Fraction(1, 3)) == Fraction(1, 3)
 
 
 def test_arithmetic_names_a_coordinate_past_nine_leaves():

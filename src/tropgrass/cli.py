@@ -33,9 +33,9 @@ from .exactalg import (
     plucker_valuations,
     toric_kernel,
 )
-from .exactalg.plucker import _generic_minor, generic_matrix_ring
+from .exactalg.plucker import generic_matrix_ring, generic_minor
 from .minplus import tropical_minors
-from .pvector import PlueckerVector, _json_key, basis_vector, d_subsets
+from .pvector import PlueckerVector, basis_vector, d_subsets, subset_key
 
 
 def _claim(report, name, expected, actual):
@@ -157,7 +157,7 @@ def cmd_plane_member(args, report):
     res = troplin.TropicalPlane(w).contains(x)
     report["member"] = bool(res)
     if not res:
-        report["violating_circuit"] = _json_key(res.violating_circuit, w.n)
+        report["violating_circuit"] = subset_key(res.violating_circuit, w.n)
     _claim(report, "membership_decided", True, True)
 
 
@@ -275,14 +275,10 @@ def cmd_sagbi(args, report):
     ring = plucker_ring(3, 6)
     mring = generic_matrix_ring(3, 6)
     flat = [q for row in SAGBI_WEIGHTS for q in row]
-    mono_map = {}
-    all_monomial = True
-    for S in d_subsets(3, 6):
-        lead = initial_form(_generic_minor(mring, 3, 6, S), flat)
-        if len(lead.terms) != 1:
-            all_monomial = False
-        mono_map["p_" + "".join(map(str, S))] = lead
-    _claim(report, "twenty_initial_forms_are_monomials", True, all_monomial)
+    mono_map = {name: initial_form(generic_minor(mring, 3, 6, S), flat)
+                for name, S in zip(ring.variables, d_subsets(3, 6))}
+    _claim(report, "twenty_initial_forms_are_monomials", True,
+           all(len(lead.terms) == 1 for lead in mono_map.values()))
     inw = initial_ideal(
         IdealHandle(ring, plucker_generators(3, 6)), w.as_list(),
         max_steps=args.budget,

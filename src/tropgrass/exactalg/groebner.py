@@ -169,7 +169,6 @@ def _reduce(terms, basis, char, guard):
     result = {}
     rest = dict(terms)
     scale = 1
-    blead = [(b[1], b[0]) for b in basis]
     while rest:
         exp = max(rest)
         c = rest.pop(exp)
@@ -179,7 +178,7 @@ def _reduce(terms, basis, char, guard):
                 continue
         if exp & guard:
             raise _Overflow
-        for lexp, bterms in blead:
+        for bterms, lexp in basis:
             if not (exp - lexp) & guard:
                 break
         else:

@@ -1,8 +1,8 @@
 """The Plucker ideal I_{d,n} and related constructions.
 
-Variables are named ``p_<i1><i2>...<id>`` for sorted d-subsets of [n], in
-lexicographic subset order.  Generators are the quadratic exchange
-relations, minimalized by linear algebra in degree two.
+Variables are named ``p_<i1><i2>...<id>`` (plucker_name) for sorted
+d-subsets of [n], in lexicographic subset order.  Generators are the
+quadratic exchange relations, minimalized by linear algebra in degree two.
 """
 
 from __future__ import annotations
@@ -37,7 +37,24 @@ def plucker_ring(d: int, n: int, field=QQ) -> PolyRing:
 
 @lru_cache(maxsize=32)
 def _plucker_ring(d, n, field):
-    return PolyRing(field, ["p_" + subset_key(S) for S in d_subsets(d, n)])
+    return PolyRing(field, [plucker_name(S) for S in d_subsets(d, n)])
+
+
+def plucker_name(S) -> str:
+    """The variable name of p_S for a sorted subset S: "p_" and S's
+    digits, as pvector.subset_key writes them for n <= 9, at every n,
+    since a ring does not know n."""
+    return "p_" + subset_key(S, 9)
+
+
+def plucker_monomial(ring: PolyRing, *subsets) -> tuple:
+    """The exponent in ring of the product of p_S over the sorted
+    subsets S, repeats counted; each p_S is found by plucker_name, so
+    the ring may list its Plucker variables in any order."""
+    exp = [0] * ring.nvars
+    for S in subsets:
+        exp[ring.var_index(plucker_name(S))] += 1
+    return tuple(exp)
 
 
 def _exchange_relations(d: int, n: int):
@@ -68,13 +85,8 @@ def _exchange_relations(d: int, n: int):
 
 
 def _to_poly(ring: PolyRing, rel: dict) -> MultiPoly:
-    terms = []
-    for (S, T), c in rel.items():
-        exp = [0] * ring.nvars
-        exp[ring.var_index("p_" + subset_key(S))] += 1
-        exp[ring.var_index("p_" + subset_key(T))] += 1
-        terms.append((tuple(exp), c))
-    return ring.from_terms(terms)
+    return ring.from_terms(
+        (plucker_monomial(ring, S, T), c) for (S, T), c in rel.items())
 
 
 def _minimalize_quadrics(polys):
@@ -125,10 +137,11 @@ def _plucker_generators(d, n, field):
 
 def three_term_quadric(ring: PolyRing, i, j, k, l) -> MultiPoly:
     """p_ij p_kl - p_ik p_jl + p_il p_jk (d=2), for i<j<k<l."""
-    text = (
-        f"p_{i}{j}*p_{k}{l} - p_{i}{k}*p_{j}{l} + p_{i}{l}*p_{j}{k}"
-    )
-    return ring.parse(text)
+    return ring.from_terms((
+        (plucker_monomial(ring, (i, j), (k, l)), 1),
+        (plucker_monomial(ring, (i, k), (j, l)), -1),
+        (plucker_monomial(ring, (i, l), (j, k)), 1),
+    ))
 
 
 # -- expansion on a generic matrix --------------------------------------
@@ -139,7 +152,7 @@ def generic_matrix_ring(d: int, n: int, field=QQ) -> PolyRing:
     return PolyRing(field, names)
 
 
-def _generic_minor(ring: PolyRing, d: int, n: int, cols) -> MultiPoly:
+def generic_minor(ring: PolyRing, d: int, n: int, cols) -> MultiPoly:
     terms = []
     exp0 = [0] * ring.nvars
     for perm in permutations(range(d)):
@@ -158,7 +171,7 @@ def expand_on_generic_matrix(f: MultiPoly, d: int, n: int) -> MultiPoly:
     in I_{d,n}.  Each variable is read through its name ``p_<S>``, so the
     ring may list the Plucker variables in any order."""
     target = generic_matrix_ring(d, n, f.ring.field)
-    by_name = {"p_" + subset_key(S): S for S in d_subsets(d, n)}
+    by_name = {plucker_name(S): S for S in d_subsets(d, n)}
     unknown = [v for v in f.ring.variables if v not in by_name]
     if unknown:
         raise ValueError(f"not Plucker variables of G({d},{n}): {unknown}")
@@ -172,7 +185,7 @@ def expand_on_generic_matrix(f: MultiPoly, d: int, n: int) -> MultiPoly:
                 continue
             S = subs[vi]
             if S not in minors:
-                minors[S] = _generic_minor(target, d, n, S)
+                minors[S] = generic_minor(target, d, n, S)
             term = term * minors[S] ** e
         result = result + term
     return result

@@ -57,29 +57,36 @@ def d_subsets(d: int, n: int):
     return list(subset_tuple(d, n))
 
 
-def subset_key(subset) -> str:
-    return "".join(str(i) for i in subset)
+def subset_key(leaves, n: int) -> str:
+    """The text of a set of leaves of [n] (a d-subset, a block, a split
+    side, a circuit): its digits for n <= 9, and its leaves joined by
+    commas for n >= 10, where digits would run together."""
+    return ("," if n > 9 else "").join(map(str, leaves))
 
 
-def parse_subset(key: str):
-    return tuple(int(c) for c in key)
+def parse_subset(text: str, n: int):
+    """Read subset_key output: the comma form for any n, and digits for
+    n <= 9 only.  At n >= 10 a text without a comma is one leaf."""
+    return _leaves(text, "," in text or n > 9)
 
 
-def _json_key(subset, n: int) -> str:
-    """A subset's JSON coordinate key: its digits for n <= 9, as in the
-    variable names, and its leaves joined by commas for n >= 10, where
-    digits would run together."""
-    return subset_key(subset) if n <= 9 else ",".join(map(str, subset))
+def _leaves(text, commas):
+    return tuple(map(int, text.split(",") if commas and text else text))
 
 
-def _parse_json_key(key: str, d: int, n: int):
-    """Read _json_key output; the comma form is read for any n, and a
-    digit key for n <= 9 only (a single leaf needs no comma)."""
-    if "," in key or (d == 1 and n > 9):
-        return tuple(int(c) for c in key.split(","))
-    if n > 9 and d > 1:
-        raise ValueError(f"digit key {key!r} is ambiguous for n = {n}")
-    return parse_subset(key)
+def partition_key(blocks, n: int) -> str:
+    """Leaf sets of [n] joined by "|", each written by subset_key."""
+    return "|".join(subset_key(b, n) for b in blocks)
+
+
+def parse_partition(text: str, n=None):
+    """Read partition_key output as a list of leaf tuples.  The whole
+    text is read in the comma form when it holds a comma or n >= 10;
+    without n, n is its leaf count in the digit form."""
+    if n is None:
+        n = len(text) - text.count("|")
+    commas = "," in text or n > 9
+    return [_leaves(chunk, commas) for chunk in text.split("|")]
 
 
 def phi(a, d: int):
@@ -176,7 +183,7 @@ class PlueckerVector:
 
     def _not_extended_real(self, S, result):
         return ValueError(
-            f"coordinate {_json_key(S, self.n)} of the result is {result}, "
+            f"coordinate {subset_key(S, self.n)} of the result is {result}, "
             "which is not an extended real here")
 
     def _check(self, other):
@@ -231,7 +238,7 @@ class PlueckerVector:
                 "d": self.d,
                 "n": self.n,
                 "coords": {
-                    _json_key(S, self.n): ("inf" if v is INF else str(v))
+                    subset_key(S, self.n): ("inf" if v is INF else str(v))
                     for S, v in self.coords.items()
                 },
             }
@@ -243,12 +250,13 @@ class PlueckerVector:
         d, n = data["d"], data["n"]
         coords = {}
         for key, val in data["coords"].items():
-            S = _parse_json_key(key, d, n)
-            coords[S] = INF if val == "inf" else Fraction(val)
+            if n > 9 and d > 1 and "," not in key:
+                raise ValueError(f"digit key {key!r} is ambiguous for n = {n}")
+            coords[parse_subset(key, n)] = INF if val == "inf" else Fraction(val)
         return cls(d, n, coords)
 
     def __repr__(self):
-        nz = {subset_key(S): str(v) for S, v in self.coords.items() if v != 0}
+        nz = {subset_key(S, self.n): str(v) for S, v in self.coords.items() if v != 0}
         return f"PlueckerVector(d={self.d}, n={self.n}, {nz})"
 
 

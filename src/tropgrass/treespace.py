@@ -19,9 +19,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .complexes import SimplicialComplex
-from .exactalg.plucker import plucker_ring
+from .exactalg.plucker import plucker_monomial, plucker_ring
 from .exactalg.scalars import QQ
-from .pvector import PlueckerVector
+from .pvector import PlueckerVector, parse_partition, partition_key
 
 
 class Split:
@@ -63,9 +63,8 @@ class Split:
         return hash((self.n, self.A))
 
     def __str__(self):
-        a = "".join(str(i) for i in sorted(self.A))
-        b = "".join(str(i) for i in sorted(self.B))
-        return f"{a}|{b}"
+        """The sides by pvector.partition_key, leaf 1's side first."""
+        return partition_key((sorted(self.A), sorted(self.B)), self.n)
 
     __repr__ = __str__
 
@@ -151,19 +150,16 @@ class SemiLabeledTree:
 
     @classmethod
     def from_split_json(cls, text: str):
-        """Read to_split_json output; a split may also be given in the
-        older form "A|B" of concatenated leaf digits, for n <= 9."""
+        """Read to_split_json output; a split may also be given as the
+        text str(Split) writes, "A|B" (digits for n <= 9, commas for
+        n >= 10), read by pvector.parse_partition."""
         data = json.loads(text)
         n = data["n"]
         lengths = {}
         for item in data["splits"]:
             split = item["split"]
             if isinstance(split, str):
-                if n > 9:
-                    raise ValueError(
-                        f"digit-string split {split!r} is ambiguous for n = {n}"
-                    )
-                split = [[int(c) for c in side] for side in split.split("|")]
+                split = parse_partition(split, n)
             a, b = split
             lengths[Split(n, a, b)] = Fraction(item["length"])
         return cls(n, lengths, [Fraction(x) for x in data["leaf_offsets"]])
@@ -445,43 +441,22 @@ def tn_complex(n: int) -> SimplicialComplex:
 def _quartet_binomial(ring, tree: SemiLabeledTree, quad):
     """For the quadruple, the initial form of the three-term quadric
     p_ij*p_kl - p_ik*p_jl + p_il*p_jk at any interior point of the
-    tree's cone: the two crossing-pairing terms with their quadric
-    signs (the sibling pairing is dropped)."""
+    tree's cone: the two non-sibling pairings with their quadric signs,
+    the first made +1, or None if no pairing is the sibling one."""
     i, j, k, l = quad
-    # which pairing is the sibling one?  {a,b}|{c,d} iff some split
-    # separates {a,b} from {c,d}
-    def siblings(a, b, c, dd):
-        return any(
-            not s.separates(a, b) and not s.separates(c, dd) and s.separates(a, c)
-            for s in tree.splits
-        )
-
-    # quadric terms with signs, in pairing order (ij|kl), (ik|jl), (il|jk)
-    terms = [
-        (((i, j), (k, l)), 1),
-        (((i, k), (j, l)), -1),
-        (((i, l), (j, k)), 1),
-    ]
-    if siblings(i, j, k, l):
-        keep = (1, 2)
-    elif siblings(i, k, j, l):
-        keep = (0, 2)
-    elif siblings(i, l, j, k):
-        keep = (0, 1)
+    # quadric pairings with signs, in order (ij|kl), (ik|jl), (il|jk)
+    terms = [(((i, j), (k, l)), 1), (((i, k), (j, l)), -1), (((i, l), (j, k)), 1)]
+    for t, (((a, b), (c, e)), _) in enumerate(terms):
+        # {a,b}|{c,e} is the sibling pairing iff some split separates the pairs
+        if any(not s.separates(a, b) and not s.separates(c, e) and s.separates(a, c)
+               for s in tree.splits):
+            del terms[t]
+            break
     else:
         return None  # unresolved quadruple (non-trivalent tree)
-
-    def mono(e1, e2):
-        exp = [0] * ring.nvars
-        exp[ring.var_index("p_%d%d" % e1)] += 1
-        exp[ring.var_index("p_%d%d" % e2)] += 1
-        return tuple(exp)
-
-    out = [(mono(*terms[t][0]), terms[t][1]) for t in keep]
-    # normalize so the first listed term is +1
-    if out[0][1] < 0:
-        out = [(m, -c) for m, c in out]
-    return ring.from_terms(out)
+    sign = terms[0][1]
+    return ring.from_terms(
+        (plucker_monomial(ring, *pairing), c * sign) for pairing, c in terms)
 
 
 def j_sigma(tree: SemiLabeledTree, field=QQ):
@@ -503,13 +478,8 @@ def kempe_crossing_generators(n: int, field=QQ):
     if n < 4:
         raise ValueError("need n >= 4")
     ring = plucker_ring(2, n, field)
-    out = []
-    for i, j, k, l in combinations(range(1, n + 1), 4):
-        exp = [0] * ring.nvars
-        exp[ring.var_index(f"p_{i}{k}")] += 1
-        exp[ring.var_index(f"p_{j}{l}")] += 1
-        out.append(ring.monomial(exp))
-    return out
+    return [ring.monomial(plucker_monomial(ring, (i, k), (j, l)))
+            for i, j, k, l in combinations(range(1, n + 1), 4)]
 
 
 def circular_weight(n: int):

@@ -13,7 +13,8 @@ from math import lcm
 
 from .minplus import finite_point, scaled_linear_form
 from .pvector import (
-    INF, PlueckerVector, _json_key, d_subsets, ext, scaled, subset_tuple)
+    INF, PlueckerVector, d_subsets, ext, parse_partition, partition_key,
+    scaled, subset_key, subset_tuple)
 
 _TYPE_GUARD_D = (2, 3)
 _TYPE_GUARD_N = 7
@@ -45,21 +46,14 @@ class DPartition:
 
     @classmethod
     def parse(cls, text, n=None):
-        """Read str(p) back.  Without n, a text of more than nine leaves
-        (or with a comma) is read in the comma form."""
-        chunks = text.split("|")
-        leaves = len(text) - len(chunks) + 1 if n is None else n
-        wide = "," in text or leaves > 9
-        blocks = [[int(c) for c in (chunk.split(",") if wide else chunk)]
-                  for chunk in chunks]
-        if n is None:
-            n = sum(len(b) for b in blocks)
-        return cls(n, blocks)
+        """Read str(p) back by pvector.parse_partition."""
+        blocks = parse_partition(text, n)
+        return cls(sum(map(len, blocks)) if n is None else n, blocks)
 
     def __str__(self):
-        """Blocks joined by "|", each block's leaves by the pvector
-        `_json_key` rule: digits for n <= 9, commas for n >= 10."""
-        return "|".join(_json_key(b, self.n) for b in self.blocks)
+        """The blocks by pvector.partition_key: "1|23|456" for n <= 9,
+        "1,2|3,...,10" for n >= 10."""
+        return partition_key(self.blocks, self.n)
 
     __repr__ = __str__
 
@@ -119,7 +113,7 @@ class TropicalPlane:
                         row.append((j - 1, c))
                 if len(row) < 2:
                     raise DegenerateCircuit(
-                        f"circuit {_json_key(J, self.n)} has fewer than "
+                        f"circuit {subset_key(J, self.n)} has fewer than "
                         "two finite coefficients"
                     )
                 table.append(row)
@@ -179,7 +173,7 @@ class Membership:
     def __repr__(self):
         if self.ok:
             return "Membership(True)"
-        J = _json_key(self.violating_circuit, self.n)
+        J = subset_key(self.violating_circuit, self.n)
         return f"Membership(False, violating_circuit={J})"
 
 

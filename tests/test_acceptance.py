@@ -43,9 +43,9 @@ from tropgrass.exactalg import (
     weight_order,
 )
 from tropgrass.exactalg.ideals import _hilbert_numerator, _minimalize_monomials
-from tropgrass.exactalg.plucker import _generic_minor, generic_matrix_ring
+from tropgrass.exactalg.plucker import generic_matrix_ring, generic_minor, plucker_name
 from tropgrass.minplus import tropical_minors
-from tropgrass.pvector import d_subsets, subset_key
+from tropgrass.pvector import d_subsets
 from tropgrass.treespace import (
     SemiLabeledTree,
     _trivalent_split_sets,
@@ -288,7 +288,7 @@ def test_criterion_06_sagbi_counterexample():
         flat = [q for row in SAGBI_WEIGHTS for q in row]
         mono_map = {}
         for S, (sign, rows) in SAGBI_INITIAL_FORMS.items():
-            lead = initial_form(_generic_minor(mring, 3, 6, S), flat)
+            lead = initial_form(generic_minor(mring, 3, 6, S), flat)
             exp = [0] * 18
             for r, c in zip(rows, S):
                 exp[(r - 1) * 6 + (c - 1)] = 1
@@ -483,7 +483,7 @@ def test_criterion_09_g37_characteristic_dependence():
         # the Hilbert series of Gr(3,7).
         gens = plucker_generators(3, 7)
         colex = sorted(d_subsets(3, 7), key=lambda S: tuple(reversed(S)))
-        ring_c = PolyRing(QQ, ["p_" + subset_key(S) for S in colex])
+        ring_c = PolyRing(QQ, [plucker_name(S) for S in colex])
         order_c = weight_order([w[S] for S in colex])
         gb_c = reduced_groebner_basis(
             [ring_c.parse(str(g)) for g in gens], order_c

@@ -45,9 +45,9 @@ from tropgrass.exactalg import (
 )
 from tropgrass.exactalg import ideals
 from tropgrass.cli import SAGBI_WEIGHTS
-from tropgrass.exactalg.plucker import FANO_COLUMNS, TPolyMatrix, _generic_minor
+from tropgrass.exactalg.plucker import FANO_COLUMNS, TPolyMatrix, generic_minor, plucker_name
 from tropgrass.minplus import tropical_minors
-from tropgrass.pvector import INF, PlueckerVector, d_subsets, subset_key
+from tropgrass.pvector import INF, PlueckerVector, d_subsets
 from tropgrass.treespace import (
     four_point_check,
     j_sigma,
@@ -337,7 +337,7 @@ def test_toric_kernel_budget():
     mring = generic_matrix_ring(3, 6)
     flat = [q for row in SAGBI_WEIGHTS for q in row]
     mono_map = {"p_" + "".join(map(str, S)):
-                initial_form(_generic_minor(mring, 3, 6, S), flat)
+                initial_form(generic_minor(mring, 3, 6, S), flat)
                 for S in d_subsets(3, 6)}
     with pytest.raises(StepBudgetExceeded):
         toric_kernel(mono_map, ring, mring, max_steps=1)
@@ -516,7 +516,7 @@ def test_nontrivial_polynomial_does_not_vanish():
 def test_expansion_reads_variables_by_name():
     # the variables of I_{3,7} in colex subset order p_123, p_124, p_134, ...
     colex = sorted(d_subsets(3, 7), key=lambda S: tuple(reversed(S)))
-    ring = PolyRing(QQ, ["p_" + subset_key(S) for S in colex])
+    ring = PolyRing(QQ, [plucker_name(S) for S in colex])
     g = plucker_generators(3, 7)[0]
     assert expand_on_generic_matrix(ring.parse(str(g)), 3, 7).is_zero()
     assert not expand_on_generic_matrix(ring.parse("p_124"), 3, 7).is_zero()

@@ -1,8 +1,9 @@
 """Import hygiene of the library, read from its source with `ast`.
 
-The library depends on the standard library alone, and every name it
-imports is used.  A package `__init__` counts the names it lists in
-`__all__` as used.
+The library depends on the standard library alone, every name it
+imports is used, and no module imports another's private (`_`-prefixed)
+name.  A package `__init__` counts the names it lists in `__all__` as
+used.
 """
 
 import ast
@@ -57,3 +58,11 @@ def test_every_imported_name_is_used(path):
     unused = [f"{path.name}:{line} {name}" for line, _, name in imports(tree)
               if name not in used]
     assert not unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_private_name_is_imported(path):
+    tree = ast.parse(path.read_text(), str(path))
+    private = [f"{path.name}:{line} {name}" for line, _, name in imports(tree)
+               if name.startswith("_")]
+    assert not private

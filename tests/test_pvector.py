@@ -1,5 +1,8 @@
-"""Pluecker vectors, the map phi, and reduction modulo its image."""
+"""Pluecker vectors, the map phi, reduction modulo its image, and the
+text of leaf sets."""
 
+import ast
+import json
 import random
 import re
 from fractions import Fraction
@@ -15,17 +18,21 @@ from tropgrass.pvector import (
     basis_vector,
     d_subsets,
     ext,
+    parse_partition,
     parse_subset,
+    partition_key,
     phi,
     subset_key,
 )
+from tropgrass.treespace import SemiLabeledTree, Split, random_trivalent_tree
+from tropgrass.troplin import DPartition
 
 
 def test_subset_enumeration():
     assert d_subsets(2, 4) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     assert len(d_subsets(3, 7)) == 35
-    assert subset_key((1, 3, 7)) == "137"
-    assert parse_subset("137") == (1, 3, 7)
+    assert subset_key((1, 3, 7), 7) == "137"
+    assert parse_subset("137", 7) == (1, 3, 7)
 
 
 def test_phi_block_sums():
@@ -194,6 +201,73 @@ def test_json_keys_stay_digits_up_to_nine_leaves():
 def test_json_digit_key_is_refused_past_nine_leaves():
     with pytest.raises(ValueError, match="ambiguous for n = 10"):
         PlueckerVector.from_json('{"d": 2, "n": 10, "coords": {"110": "1"}}')
+
+
+# -- leaf-set text ------------------------------------------------------------
+# JSON keys, d-partition blocks, split sides, circuits and reprs are all
+# written by subset_key: digits for n <= 9, leaves joined by commas above.
+
+
+def leaf_tokens(text):
+    """The leaves a leaf-set text names, split at every comma and bar."""
+    return [int(v) for v in re.split("[,|]", text)]
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_every_leaf_set_writer_reads_back(n):
+    rng = random.Random(n)
+    for _ in range(30):
+        S = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+        text = subset_key(S, n)
+        assert parse_subset(text, n) == S
+        assert ("," in text) == (n > 9 and len(S) > 1)
+
+        leaves = rng.sample(range(1, n + 1), n)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+        p = DPartition(n, [leaves[a:b] for a, b in zip([0, *cuts], [*cuts, n])])
+        assert DPartition.parse(str(p)) == DPartition.parse(str(p), n) == p
+        assert parse_partition(partition_key(p.blocks, n), n) == list(p.blocks)
+
+        split = Split(n, rng.sample(range(1, n + 1), rng.randint(2, n - 2)))
+        doc = {"n": n, "splits": [{"split": str(split), "length": "1"}],
+               "leaf_offsets": ["0"] * n}
+        assert SemiLabeledTree.from_split_json(json.dumps(doc)).splits == {split}
+        if n > 9:
+            assert sorted(leaf_tokens(str(split))) == list(range(1, n + 1))
+
+
+def test_leaf_sets_are_digits_up_to_nine_leaves():
+    assert subset_key((1, 3, 9), 9) == "139"
+    assert partition_key([(1, 9), (2, 3)], 9) == "19|23"
+    assert str(DPartition(9, [[1, 9], range(2, 9)])) == "19|2345678"
+    assert str(Split(9, {1, 9})) == "19|2345678"
+    assert repr(basis_vector(2, 9, (1, 9))) == "PlueckerVector(d=2, n=9, {'19': '1'})"
+    assert subset_key((1, 3, 10), 10) == "1,3,10"
+    assert str(Split(12, {1, 12})) == "1,12|2,3,4,5,6,7,8,9,10,11"
+
+
+def test_leaf_set_text_refusals():
+    with pytest.raises(ValueError, match="partition"):
+        DPartition.parse("1,2|34")
+    with pytest.raises(ValueError, match="ambiguous for n = 12"):
+        PlueckerVector.from_json('{"d": 2, "n": 12, "coords": {"112": "1"}}')
+    assert parse_subset("11", 12) == (11,)
+
+
+def test_reprs_past_nine_leaves_name_each_leaf():
+    n = 12
+    w = basis_vector(2, n, (1, 2), (1, 11), (11, 12))
+    text = repr(w)
+    coords = ast.literal_eval(text[text.index("{"):-1])
+    assert {parse_subset(key, n) for key in coords} == {(1, 2), (1, 11), (11, 12)}
+    assert all(len(leaf_tokens(key)) == 2 for key in coords)
+
+    tree = random_trivalent_tree(n, random.Random(12))
+    sides = re.findall(r"([\d,]+\|[\d,]+):", repr(tree))
+    assert len(sides) == n - 3
+    for text in sides:
+        assert sorted(leaf_tokens(text)) == list(range(1, n + 1))
+    assert {Split(n, *parse_partition(t, n)) for t in sides} == tree.splits
 
 
 # -- arithmetic with INF ------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropgrass.exactalg import (
+    GF,
     QQ,
     IdealHandle,
     initial_form,
@@ -286,6 +287,77 @@ def test_j_sigma_generates_initial_ideal_n5():
 def test_j_sigma_requires_trivalent():
     with pytest.raises(ValueError):
         j_sigma(star_tree(6))
+
+
+def reference_quartet_binomial(ring, tree, quad):
+    """The tree binomial of a quadruple as it was first written, by
+    formatting variable names: the two non-sibling pairings of
+    p_ij*p_kl - p_ik*p_jl + p_il*p_jk with their signs, the first +1."""
+    i, j, k, l = quad
+
+    def siblings(a, b, c, dd):
+        return any(
+            not s.separates(a, b) and not s.separates(c, dd) and s.separates(a, c)
+            for s in tree.splits
+        )
+
+    terms = [(((i, j), (k, l)), 1), (((i, k), (j, l)), -1), (((i, l), (j, k)), 1)]
+    if siblings(i, j, k, l):
+        keep = (1, 2)
+    elif siblings(i, k, j, l):
+        keep = (0, 2)
+    elif siblings(i, l, j, k):
+        keep = (0, 1)
+    else:
+        return None
+
+    def mono(e1, e2):
+        exp = [0] * ring.nvars
+        exp[ring.var_index("p_%d%d" % e1)] += 1
+        exp[ring.var_index("p_%d%d" % e2)] += 1
+        return tuple(exp)
+
+    out = [(mono(*terms[t][0]), terms[t][1]) for t in keep]
+    if out[0][1] < 0:
+        out = [(m, -c) for m, c in out]
+    return ring.from_terms(out)
+
+
+def same_terms(f, g):
+    """Equal as written: same ring, and the same terms in the same order
+    with the same coefficients."""
+    return f.ring is g.ring and list(f.terms.items()) == list(g.terms.items())
+
+
+def sample_trees(n):
+    """Every trivalent tree on [n] for n <= 6, and 40 seeded ones at n = 7."""
+    if n == 7:
+        rng = random.Random(7)
+        return [random_trivalent_tree(7, rng) for _ in range(40)]
+    return [SemiLabeledTree(n, {s: 1 for s in splits})
+            for splits in _trivalent_split_sets(n)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_j_sigma_matches_the_name_formatting_reference(n, field):
+    ring = plucker_ring(2, n, field)
+    for tree in sample_trees(n):
+        expected = [reference_quartet_binomial(ring, tree, q)
+                    for q in combinations(range(1, n + 1), 4)]
+        got = j_sigma(tree, field)
+        assert len(got) == len(expected)
+        assert all(map(same_terms, got, expected))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_quadrics_and_crossings_match_their_parsed_names(n):
+    ring = plucker_ring(2, n)
+    quads = list(combinations(range(1, n + 1), 4))
+    for (i, j, k, l), crossing in zip(quads, kempe_crossing_generators(n)):
+        text = f"p_{i}{j}*p_{k}{l} - p_{i}{k}*p_{j}{l} + p_{i}{l}*p_{j}{k}"
+        assert same_terms(three_term_quadric(ring, i, j, k, l), ring.parse(text))
+        assert same_terms(crossing, ring.parse(f"p_{i}{k}*p_{j}{l}"))
 
 
 # -- shapes ---------------------------------------------------------------

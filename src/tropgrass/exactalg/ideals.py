@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, zip_longest
+from math import comb
 from operator import mul
 
 from ..complexes import integer_echelon
@@ -308,30 +309,13 @@ def toric_kernel(monomial_map, source_ring: PolyRing, target_ring: PolyRing,
 # -- Hilbert series degree ------------------------------------------------
 
 
-def _poly_sub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
+def _poly_sum(a, b):
+    """a + b for coefficient lists (constant term first), trimmed of
+    trailing zeros."""
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def _poly_add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_shift_mul(a, k):
-    return [0] * k + list(a)
 
 
 def _minimalize_monomials(exps):
@@ -361,7 +345,7 @@ def _hilbert_numerator(exps):
     ):
         num = [1]
         for e in exps:
-            num = _poly_sub(num, _poly_shift_mul(num, sum(e)))
+            num = _poly_sum(num, [0] * sum(e) + [-c for c in num])
         return num
     # pivot on the most frequent variable
     nvars = len(exps[0])
@@ -374,33 +358,26 @@ def _hilbert_numerator(exps):
     colon = [tuple(max(v - 1, 0) if i == piv else v for i, v in enumerate(e))
              for e in exps]
     # exact sequence 0 -> (R/(I:x))(-1) -> R/I -> R/(I+<x>) -> 0
-    return _poly_add(_hilbert_numerator(with_x),
-                     _poly_shift_mul(_hilbert_numerator(colon), 1))
+    return _poly_sum(_hilbert_numerator(with_x), [0] + _hilbert_numerator(colon))
 
 
 def degree_of(ideal: IdealHandle, max_steps=None) -> int:
     """Degree of the projective scheme of a homogeneous ideal.
 
     Computed from the Hilbert series of the initial monomial ideal of a
-    reduced Groebner basis: strip all (1-t) factors from the numerator
-    and evaluate at t=1.
+    reduced Groebner basis.  Write its numerator as num = (1-t)^c * h
+    with h(1) != 0; the degree is h(1).  The coefficient of s^k in
+    num(1-s) = s^c * h(1-s) is (-1)^k * sum_i C(i, k) * num_i, so the
+    first nonzero one is at k = c and equals h(1).
     """
     if not ideal.is_homogeneous():
         raise ValueError("degree_of requires a homogeneous ideal")
     order = degrevlex(ideal.ring.nvars)
     basis = ideal.reduced_groebner(order, max_steps=max_steps)
-    exps = [order.leading_monomial(g) for g in basis]
-    num = _hilbert_numerator(exps)
+    num = _hilbert_numerator([order.leading_monomial(g) for g in basis])
     if not num:
         raise ValueError("unit ideal has no projective degree")
-    while sum(num) == 0:
-        # divide by (1 - t): num / (1-t), exact when num(1) == 0
-        out = []
-        acc = 0
-        for c in num[:-1]:
-            acc += c
-            out.append(acc)
-        num = out
-        while num and num[-1] == 0:
-            num.pop()
-    return sum(num)
+    for k in range(len(num)):
+        h1 = sum(comb(i, k) * c for i, c in enumerate(num))
+        if h1:
+            return (-1) ** k * h1

@@ -31,15 +31,10 @@ class TermOrder:
                 f"weight entry {iw.index(None) + 1} of {self.nvars} is inf; "
                 "a term order needs finite weights")
         self._iw = tuple(iw)  # the weight scaled to ints, order-equivalent
-        self._cache = {}
 
     def key(self, exp):
-        k = self._cache.get(exp)
-        if k is None:
-            wdot = sum(a * b for a, b in zip(exp, self._iw))
-            k = (-wdot, (sum(exp), tuple(-e for e in reversed(exp))))
-            self._cache[exp] = k
-        return k
+        wdot = sum(a * b for a, b in zip(exp, self._iw))
+        return (-wdot, (sum(exp), tuple(-e for e in reversed(exp))))
 
     def leading_term(self, poly):
         """(exponent, coefficient) of the leading term; None for zero."""

@@ -128,14 +128,9 @@ def vertices():
     """All 65 vertices: 20 E + 15 F + 30 G."""
     out = [G36Vertex("e", S) for S in combinations(range(1, 7), 3)]
     out += [G36Vertex("f", S) for S in combinations(range(1, 7), 4)]
-    seen = set()
-    for perm in permutations(range(1, 7)):
-        pairs = [(perm[0], perm[1]), (perm[2], perm[3]), (perm[4], perm[5])]
-        v = G36Vertex("g", pairs)
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    assert len(out) == 65
+    # the two cyclic orders of each tripartition
+    out += sorted((G36Vertex("g", cyc) for p1, p2, p3 in _tripartitions()
+                   for cyc in ((p1, p2, p3), (p1, p3, p2))), key=str)
     return out
 
 
@@ -258,19 +253,14 @@ def missing_fff_triangles():
 
 
 def _tripartitions():
-    seen = set()
+    """The 15 pairings of [6] as sorted pair triples, in lex order: leaf 1
+    pairs with one of the five others, then the least leaf left pairs
+    with one of the three remaining."""
     out = []
-    for perm in permutations(range(1, 7)):
-        pairs = frozenset(
-            (
-                tuple(sorted(perm[0:2])),
-                tuple(sorted(perm[2:4])),
-                tuple(sorted(perm[4:6])),
-            )
-        )
-        if pairs not in seen:
-            seen.add(pairs)
-            out.append(tuple(sorted(pairs)))
+    for j in range(2, 7):
+        a, *others = [i for i in range(2, 7) if i != j]
+        for b in others:
+            out.append(((1, j), (a, b), tuple(i for i in others if i != b)))
     return out
 
 

@@ -15,6 +15,7 @@ from .minplus import finite_point, scaled_linear_form
 from .pvector import (
     INF, PlueckerVector, d_subsets, ext, parse_partition, partition_key,
     scaled, subset_key, subset_tuple)
+from .treespace import cherries, is_caterpillar
 
 _TYPE_GUARD_D = (2, 3)
 _TYPE_GUARD_N = 7
@@ -213,7 +214,7 @@ def plane_type(plane) -> set:
         raise ValueError(
             f"plane_type is guarded to d in {_TYPE_GUARD_D}, n <= {_TYPE_GUARD_N}"
         )
-    if any(v == INF for v in plane.w.coords.values()):
+    if not plane.w.is_finite():
         raise ValueError("plane_type requires a finite Pluecker vector")
     # per circuit: list of (arcs for each exact tight set S), where an
     # arc (a, b, c, s) means x_a - x_b <= c, strictly if s
@@ -263,23 +264,17 @@ def plane_type(plane) -> set:
         return nd
 
     def classes_of(dist):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        """The blocks of "d_ab + d_ba = 0": dist is closed and feasible
+        at a leaf, so that is an equivalence, and each a joins the
+        block of the least b <= a tied to it."""
+        blocks = {}
         for a in range(n):
-            for b in range(a + 1, n):
+            for b in range(a + 1):
                 ab, ba = dist[a][b], dist[b][a]
                 if ab is not None and ba is not None and ab[0] + ba[0] == 0:
-                    parent[find(a)] = find(b)
-        groups = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i + 1)
-        return list(groups.values())
+                    blocks.setdefault(b, []).append(a + 1)
+                    break
+        return list(blocks.values())
 
     def dfs(idx, dist):
         if idx == len(circuit_choices):
@@ -366,15 +361,20 @@ def _ratio(v):
         return None
 
 
-def reconstruct_plucker(oracle: PlaneOracle, d=None, n=None, bound=1):
+def reconstruct_plucker(oracle: PlaneOracle, bound=1):
     """Recover w modulo image(phi) from a plane oracle.
 
     For each (d-1)-subset I the oracle must produce a point of the plane
     with x_i = M := 4*bound*n + 1 on I and all other coordinates at most
     M - (2*bound + 1); each witness is validated against the membership
     test, and the circuit on I + {j,k} then forces
-    w_{I+j} - w_{I+k} = x_j - x_k.  The differences are glued into a
-    single vector, anchored at 0 on the first d-subset.
+    w_{I+j} - w_{I+k} = x_j - x_k on the star of I, its d-subsets I + k.
+    The stars are glued in lex order of I, anchored at 0 on the first
+    d-subset.  With k0 the least leaf outside I, every star after the
+    first already knows w on I + k0, since k0 < max(I) puts I + k0 in the
+    star of the lex-earlier I + k0 - max(I).  So I + k0 fixes the star's
+    shift, and each other subset of the star that already has a value
+    is checked against it.
 
     Each witness is read as ints over the lcm m of its denominators, so
     the height, slack and bound tests compare ints.  The glued values
@@ -382,44 +382,14 @@ def reconstruct_plucker(oracle: PlaneOracle, d=None, n=None, bound=1):
     lcm(D, m) when a witness needs it; only the returned coordinates
     are Fractions.
     """
-    d = oracle.d if d is None else d
-    n = oracle.n if n is None else n
+    d, n = oracle.d, oracle.n
     bound = Fraction(bound)
     bp, bq = bound.numerator, bound.denominator
     M = Fraction(4 * bp * n + bq, bq)
     height = M.as_integer_ratio()
     low = 2 * bp * (2 * n - 1)  # M - (2*bound + 1) = low / bq
-    subsets = d_subsets(d, n)
-    index = {S: i for i, S in enumerate(subsets)}
-    # weighted union-find over d-subsets: offset[i] is
-    # D * (value[i] - value[parent[i]])
-    parent = list(range(len(subsets)))
-    offset = [0] * len(subsets)
+    value = {tuple(range(1, d + 1)): 0}  # D * (w_S - w_{12...d})
     D = 1
-
-    def find(i):
-        """(root of i, D * (value[i] - value[root])), compressing the path."""
-        path = []
-        while parent[i] != i:
-            path.append(i)
-            i = parent[i]
-        above = 0
-        for k in reversed(path):
-            above += offset[k]
-            offset[k] = above
-            parent[k] = i
-        return i, above
-
-    def union(i, j, diff):
-        """Record D * (value_i - value_j) = diff; False on contradiction."""
-        ri, oi = find(i)
-        rj, oj = find(j)
-        if ri == rj:
-            return oi - oj == diff
-        parent[ri] = rj
-        offset[ri] = diff + oj - oi
-        return True
-
     for I in d_subsets(d - 1, n):
         x = oracle.witness(set(I), M)
         if len(x) != n:
@@ -444,30 +414,24 @@ def reconstruct_plucker(oracle: PlaneOracle, d=None, n=None, bound=1):
         xs = {k: p * (m // q) for k, (p, q) in finite.items()}
         if D % m:
             grow = lcm(D, m) // D
-            offset[:] = [o * grow for o in offset]
+            value = {S: v * grow for S, v in value.items()}
             D *= grow
         per = D // m
         limit = 2 * bp * m  # |dx| * bq > limit iff |dx / m| > 2 * bound
         k0 = rest[0]
-        Sk = index[tuple(sorted(I + (k0,)))]
+        shift = value[tuple(sorted(I + (k0,)))]
         for j in rest[1:]:
             if j not in xs or k0 not in xs or abs(xs[j] - xs[k0]) * bq > limit:
                 raise ReconstructionError(
                     f"difference for I={I} exceeds the stated bound"
                 )
-            Sj = index[tuple(sorted(I + (j,)))]
-            if not union(Sj, Sk, (xs[j] - xs[k0]) * per):
+            v = shift + (xs[j] - xs[k0]) * per
+            if value.setdefault(tuple(sorted(I + (j,))), v) != v:
                 raise ReconstructionError(
                     "inconsistent differences across witnesses"
                 )
-    root0, base = find(0)
-    coords = {}
-    for i, S in enumerate(subsets):
-        r, off = find(i)
-        if r != root0:
-            raise ReconstructionError("difference graph is disconnected")
-        coords[S] = Fraction(off - base, D)
-    return PlueckerVector(d, n, coords)
+    return PlueckerVector(
+        d, n, {S: Fraction(value[S], D) for S in d_subsets(d, n)})
 
 
 # -- complete-intersection obstruction for d = 2 -------------------------
@@ -494,8 +458,6 @@ def ci_status_d2(tree) -> CIStatus:
     between two tree points misses the interior of at least one of
     them, so that leaf pair is never separated: the dual (n-2)-plane is
     not a complete intersection.  Caterpillars are left Unknown."""
-    from .treespace import cherries, is_caterpillar
-
     if tree.n < 5:
         raise ValueError("need n >= 5 leaves")
     if not tree.is_trivalent():

@@ -478,6 +478,48 @@ def test_degree_of_hypersurface_and_points():
     assert degree_of(IdealHandle(S, [S.parse("x^2 - y^2")])) == 2
 
 
+def reference_degree(num):
+    """(degree, c) from a Hilbert numerator num = (1 - t)^c * h, by
+    dividing by (1 - t) while num(1) = 0, as `degree_of` did before its
+    closed form."""
+    c = 0
+    while sum(num) == 0:
+        out = []
+        acc = 0
+        for x in num[:-1]:
+            acc += x
+            out.append(acc)
+        num = out
+        while num and num[-1] == 0:
+            num.pop()
+        c += 1
+    return sum(num), c
+
+
+def test_degree_of_matches_division_by_one_minus_t():
+    """On seeded monomial ideals in up to 6 variables, each generator in
+    one or two of them, so that the numerators carry from 1 up to 5
+    factors (1 - t)."""
+    rng = random.Random(41)
+    factors = set()
+    for _ in range(600):
+        nvars = rng.randint(1, 6)
+        exps = []
+        for _ in range(rng.randint(1, 10)):
+            e = [0] * nvars
+            for i in rng.sample(range(nvars), rng.randint(1, min(2, nvars))):
+                e[i] = rng.randint(1, 3)
+            exps.append(tuple(e))
+        num = ideals._hilbert_numerator(exps)
+        if not num:
+            continue
+        degree, c = reference_degree(num)
+        R = PolyRing(QQ, [f"x{i}" for i in range(nvars)])
+        assert degree_of(IdealHandle(R, [R.monomial(e) for e in exps])) == degree
+        factors.add(c)
+    assert factors >= set(range(1, 6))
+
+
 # -- Pluecker machinery ---------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """The 65-vertex complexes Delta and Delta-prime and their census data."""
 
+from itertools import permutations
+
 import pytest
 
 from tropgrass.g36 import (
@@ -127,6 +129,30 @@ def test_missing_fff_triangles_are_non_faces():
         # the same triangle is a face of the flag complex Delta, which is
         # exactly why Delta-prime is not flag
         assert DELTA.has_face(tri)
+
+
+def reference_g_vertices_and_pairings():
+    """The G-vertices and pairings of [6] in first-seen order over the
+    720 permutations of [6], as `g36` listed them by permutation scan."""
+    gs, pairings = [], []
+    for perm in permutations(range(1, 7)):
+        pairs = [perm[0:2], perm[2:4], perm[4:6]]
+        v = G36Vertex("g", pairs)
+        if v not in gs:
+            gs.append(v)
+        pairing = tuple(sorted(tuple(sorted(p)) for p in pairs))
+        if pairing not in pairings:
+            pairings.append(pairing)
+    return gs, pairings
+
+
+def test_vertices_and_missing_triangles_match_permutation_scan():
+    gs, pairings = reference_g_vertices_and_pairings()
+    assert len(gs) == 30 and len(pairings) == 15
+    assert vertices()[35:] == gs
+    assert missing_fff_triangles() == [
+        frozenset([F(*p1, *p2), F(*p1, *p3), F(*p2, *p3)])
+        for p1, p2, p3 in pairings]
 
 
 def test_euler_characteristic_and_homology():

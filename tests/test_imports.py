@@ -1,9 +1,9 @@
 """Import hygiene of the library, read from its source with `ast`.
 
 The library depends on the standard library alone, every name it
-imports is used, and no module imports another's private (`_`-prefixed)
-name.  A package `__init__` counts the names it lists in `__all__` as
-used.
+imports is used, no module imports another's private (`_`-prefixed)
+name, and every import sits at module level, never in a function body.
+A package `__init__` counts the names it lists in `__all__` as used.
 """
 
 import ast
@@ -66,3 +66,14 @@ def test_no_private_name_is_imported(path):
     private = [f"{path.name}:{line} {name}" for line, _, name in imports(tree)
                if name.startswith("_")]
     assert not private
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_import_in_a_function_body(path):
+    tree = ast.parse(path.read_text(), str(path))
+    inner = [f"{path.name}:{node.lineno} in {fn.name}"
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not inner

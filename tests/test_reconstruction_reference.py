@@ -2,12 +2,15 @@
 `Fraction` reference it replaced.
 
 `reconstruct_plucker` reads each witness as ints over the lcm of its
-denominators and glues the differences in a union-find whose offsets
-are ints over one running common denominator.  The reference below is
-the earlier routine: `Fraction` height, slack and bound tests, and a
-recursive union-find with `Fraction` offsets.  Both must give the same
-vector, raise the same `ReconstructionError` message, and ask the
-oracle the same questions in the same order.
+denominators and glues the stars of the (d-1)-subsets I, their
+d-subsets I + k, in lex order of I: each star after the first holds
+I + k0 (k0 the least leaf outside I) from an earlier star, which fixes
+its shift, and the values are ints over one running common
+denominator.  The reference below is the earlier routine: `Fraction`
+height, slack and bound tests, and a recursive union-find with
+`Fraction` offsets.  Both must give the same vector, raise the same
+`ReconstructionError` message, and ask the oracle the same questions in
+the same order.
 """
 
 import random
@@ -202,16 +205,31 @@ def int_if_integral(v):
     return int(v) if v.denominator == 1 else v
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_each_star_meets_an_earlier_star(n):
+    """The fact the lex-order glue rests on: in d_subsets(d-1, n) order,
+    every star I + k after the first holds a d-subset of an earlier
+    star, for every 1 <= d < n; indeed it holds I + k0 for k0 the least
+    leaf outside I, the subset that fixes the star's shift."""
+    for d in range(1, n):
+        seen = set()
+        for t, I in enumerate(d_subsets(d - 1, n)):
+            rest = [k for k in range(1, n + 1) if k not in I]
+            star = [tuple(sorted(I + (k,))) for k in rest]
+            assert t == 0 or star[0] in seen, (d, n, I)
+            seen.update(star)
+
+
 def test_int_and_float_oracles_match_reference():
     """Witnesses of ints, and of floats over dyadic denominators (whose
-    float arithmetic in the reference is exact)."""
+    float arithmetic in the reference is exact), up to a 2x8 matrix."""
     rng = random.Random(33)
     for n in (5, 6, 7):
         w = tree_to_plucker(random_trivalent_tree(n, rng, max_length=9))
         got = assert_same(converted(PlaneOracle.from_vector(w), int_if_integral),
                           bound=bound_of(w))
         assert got.equals_mod_phi(w)
-    for d, n in ((2, 6), (3, 6), (3, 7)):
+    for d, n in ((2, 6), (3, 6), (3, 7), (2, 8)):
         w = tropical_minors([[Fraction(rng.randint(-40, 40), rng.choice((1, 2, 4, 8)))
                               for _ in range(n)] for _ in range(d)])
         for convert in (float, int_if_integral):
@@ -233,10 +251,10 @@ def test_floats_are_read_exactly():
 
 
 def bad_oracles():
-    """(oracle, expected message) with one oracle per reachable
-    ReconstructionError branch, infinities included.  The disconnected
-    branch is not reachable: the witnesses of all (d-1)-subsets join
-    every d-subset into one component."""
+    """(oracle, expected message) with one oracle per ReconstructionError
+    branch, infinities included.  The reference's disconnected branch is
+    not reachable: the witnesses of all (d-1)-subsets join every d-subset
+    into one component, and `reconstruct_plucker` has no such branch."""
     w = facet_cone_sample("EEFG")
     base = PlaneOracle.from_vector(w)
 

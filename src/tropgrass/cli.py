@@ -364,10 +364,25 @@ def build_parser():
     return parser
 
 
+def _glue_negative_values(argv):
+    """Join a value that starts like a negative number ("-3,1,2") to the
+    "--flag" before it, which argparse would otherwise read as an unknown
+    option: ["--point", "-3,1"] becomes ["--point=-3,1"]."""
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and arg[:1] == "-" and arg[1:2].isdigit()):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     report = {"subcommand": f"{args.group} {args.action}", "claims": []}

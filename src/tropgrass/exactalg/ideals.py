@@ -13,7 +13,7 @@ from ..complexes import integer_echelon
 from .groebner import StepBudgetExceeded, normal_form, reduced_groebner_basis
 from .orders import TermOrder, degrevlex, elimination_order, weight_order
 from .poly import MultiPoly, PolyRing
-from .scalars import GF, QQ
+from .scalars import field_of_characteristic
 
 
 class IdealHandle:
@@ -68,7 +68,7 @@ class IdealHandle:
     @classmethod
     def from_json(cls, text: str):
         data = json.loads(text)
-        field = QQ if data["characteristic"] == 0 else GF(data["characteristic"])
+        field = field_of_characteristic(data["characteristic"])
         ring = PolyRing(field, data["variables"])
         return cls(ring, [ring.parse(g) for g in data["generators"]])
 

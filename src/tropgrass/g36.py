@@ -81,10 +81,6 @@ class G36Vertex:
             add(p2 + (p3[1],))
         return PlueckerVector(3, N, coords)
 
-    def ambient(self) -> PlueckerVector:
-        """The rotation-invariant representative, reduced mod image(phi)."""
-        return self.raw_vector().reduce_mod_phi()
-
     def __eq__(self, other):
         return (
             isinstance(other, G36Vertex)

@@ -1,8 +1,10 @@
 """Plucker vectors: rational coordinates indexed by d-subsets of [n].
 
-Also hosts the sum-over-subsets map phi : R^n -> R^C(n,d) whose image is
+Also hosts the text of leaf sets and the d-partitions of [n] written
+with it, the sum-over-subsets map phi : R^n -> R^C(n,d) whose image is
 the common lineality space of all cones of the tropical Grassmannian,
-exact reduction modulo that image, and `scaled`, which clears denominators.
+exact reduction modulo that image and inversion of phi, and `scaled`,
+which clears denominators.
 """
 
 from __future__ import annotations
@@ -89,6 +91,50 @@ def parse_partition(text: str, n=None):
     return [_leaves(chunk, commas) for chunk in text.split("|")]
 
 
+class DPartition:
+    """An unordered partition of [n] into exactly d nonempty blocks."""
+
+    __slots__ = ("n", "blocks")
+
+    def __init__(self, n, blocks):
+        blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        flat = sorted(i for b in blocks for i in b)
+        if flat != list(range(1, n + 1)) or any(not b for b in blocks):
+            raise ValueError("blocks must partition [n]")
+        self.n = n
+        self.blocks = blocks
+
+    @property
+    def d(self):
+        return len(self.blocks)
+
+    @classmethod
+    def parse(cls, text, n=None):
+        """Read str(p) back by parse_partition."""
+        blocks = parse_partition(text, n)
+        return cls(sum(map(len, blocks)) if n is None else n, blocks)
+
+    def __str__(self):
+        """The blocks by partition_key: "1|23|456" for n <= 9,
+        "1,2|3,...,10" for n >= 10."""
+        return partition_key(self.blocks, self.n)
+
+    __repr__ = __str__
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, DPartition)
+            and other.n == self.n
+            and other.blocks == self.blocks
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.blocks))
+
+    def __lt__(self, other):
+        return self.blocks < other.blocks
+
+
 def phi(a, d: int):
     """Map an n-vector to the C(n,d)-vector of d-subset sums."""
     n = len(a)
@@ -99,8 +145,8 @@ def phi(a, d: int):
 
 
 def _phi_residual(d: int, n: int, u):
-    """(k*(u - phi(x)), k) for ints u over subset_tuple(d, n), with x the
-    least-squares preimage of u.  The Gram matrix of phi's columns is
+    """(k*(u - phi(x)), k*x, k) for ints u over subset_tuple(d, n), with
+    x the least-squares preimage of u.  The Gram matrix of phi's columns is
     aI + bJ with a = C(n-2, d-1) and b = C(n-2, d-2), so for r = phi^T(u),
     x = (r - b*sum(r) / (a + n*b)) / a, and k = a*(a + n*b) makes k*x the
     int vector X = (a + n*b)*r - b*sum(r)."""
@@ -113,7 +159,7 @@ def _phi_residual(d: int, n: int, u):
     total = sum(r)
     X = [(a + n * b) * ri - b * total for ri in r]
     k = a * (a + n * b)
-    return [uS * k - sum(X[i - 1] for i in S) for S, uS in zip(subsets, u)], k
+    return [uS * k - sum(X[i - 1] for i in S) for S, uS in zip(subsets, u)], X, k
 
 
 class PlueckerVector:
@@ -207,10 +253,21 @@ class PlueckerVector:
         coordinates finite and 2 <= d < n."""
         self._check_reducible()
         D, u = scaled(self.coords.values())
-        residual, k = _phi_residual(self.d, self.n, u)
+        residual, _, k = _phi_residual(self.d, self.n, u)
         return PlueckerVector(
             self.d, self.n,
             {S: Fraction(v, k * D) for S, v in zip(self.subsets, residual)})
+
+    def phi_preimage(self):
+        """The list x with phi(x, d) == self, exactly, or None if self is
+        not in image(phi); x is unique since phi is injective for
+        2 <= d < n.  Requires all coordinates finite and 2 <= d < n."""
+        self._check_reducible()
+        D, u = scaled(self.coords.values())
+        residual, X, k = _phi_residual(self.d, self.n, u)
+        if any(residual):
+            return None
+        return [Fraction(x, k * D) for x in X]
 
     def _check_reducible(self):
         if not self.is_finite():

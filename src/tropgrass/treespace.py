@@ -12,8 +12,6 @@ that -w_ij is the path distance between leaves i and j.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -21,52 +19,36 @@ from itertools import combinations
 from .complexes import SimplicialComplex
 from .exactalg.plucker import plucker_monomial, plucker_ring
 from .exactalg.scalars import QQ
-from .pvector import PlueckerVector, parse_partition, partition_key
+from .minplus import TropMatrix
+from .pvector import INF, DPartition, PlueckerVector, parse_partition
 
 
-class Split:
-    """An unordered bipartition {A, B} of [n] with both sides of size >= 2."""
+class Split(DPartition):
+    """A split of [n]: a two-block d-partition whose blocks both have at
+    least 2 leaves.  A is the block holding leaf 1 and B the other."""
 
-    __slots__ = ("n", "A", "B")
+    __slots__ = ("A", "B")
 
     def __init__(self, n, A, B=None):
         A = frozenset(A)
-        if B is None:
-            B = frozenset(range(1, n + 1)) - A
-        else:
-            B = frozenset(B)
-        if A | B != frozenset(range(1, n + 1)) or A & B:
-            raise ValueError("sides must partition {1..n}")
-        if len(A) < 2 or len(B) < 2:
+        super().__init__(n, (A, frozenset(range(1, n + 1)) - A if B is None else B))
+        if min(map(len, self.blocks)) < 2:
             raise ValueError("both sides need at least 2 leaves")
-        # canonical: A is the side containing leaf 1
-        if 1 in B:
-            A, B = B, A
-        self.n = n
-        self.A = A
-        self.B = B
+        self.A, self.B = map(frozenset, self.blocks)
+
+    @classmethod
+    def parse(cls, text, n=None):
+        """Read str(s) back as a Split."""
+        p = DPartition.parse(text, n)
+        if p.d != 2:
+            raise ValueError("a split has exactly two blocks")
+        return cls(p.n, *p.blocks)
 
     def separates(self, i, j) -> bool:
         return (i in self.A) != (j in self.A)
 
     def sides(self):
         return (self.A, self.B)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Split)
-            and other.n == self.n
-            and other.A == self.A
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.A))
-
-    def __str__(self):
-        """The sides by pvector.partition_key, leaf 1's side first."""
-        return partition_key((sorted(self.A), sorted(self.B)), self.n)
-
-    __repr__ = __str__
 
 
 def splits_compatible(s: Split, t: Split) -> bool:
@@ -218,15 +200,14 @@ def tree_to_plucker(tree: SemiLabeledTree) -> PlueckerVector:
 
 
 def dissimilarity_from_csv(text: str) -> PlueckerVector:
-    """Read a symmetric distance matrix; returns w = -d."""
-    rows = [
-        [Fraction(v) for v in row]
-        for row in csv.reader(io.StringIO(text))
-        if row
-    ]
+    """Read a symmetric distance matrix written as TropMatrix CSV;
+    returns w = -d."""
+    rows = TropMatrix.from_csv(text).entries
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("distance matrix must be square")
+    if any(v is INF for r in rows for v in r):
+        raise ValueError("a distance matrix needs finite entries, not inf")
     for i in range(n):
         if rows[i][i] != 0:
             raise ValueError("nonzero diagonal")
@@ -241,17 +222,11 @@ def dissimilarity_from_csv(text: str) -> PlueckerVector:
 
 
 def dissimilarity_to_csv(w: PlueckerVector) -> str:
-    n = w.n
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for i in range(1, n + 1):
-        writer.writerow(
-            [
-                "0" if i == j else str(-w[(min(i, j), max(i, j))])
-                for j in range(1, n + 1)
-            ]
-        )
-    return buf.getvalue()
+    """The distance matrix -w as TropMatrix CSV; w must be finite."""
+    d = -w
+    leaves = range(1, w.n + 1)
+    return TropMatrix([[d[(i, j)] if i != j else 0 for j in leaves]
+                       for i in leaves]).to_csv()
 
 
 def four_point_check(w: PlueckerVector):
@@ -285,6 +260,8 @@ def additive_linkage(w: PlueckerVector) -> SemiLabeledTree:
     if not ok:
         raise ValueError(f"four-point condition fails on quadruple {quad}")
     n = w.n
+    if n < 3 or not w.is_finite():
+        raise ValueError("additive linkage needs n >= 3 leaves and finite distances")
 
     def D0(i, j):
         return -w[(min(i, j), max(i, j))]
@@ -339,31 +316,11 @@ def additive_linkage(w: PlueckerVector) -> SemiLabeledTree:
         elif length < 0:
             raise ValueError("negative split length; input is not a tree point")
 
-    # leaf offsets: residual of -w minus the internal-split part, in image(phi)
-    residual = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        v = D0(i, j)
-        for s, c in lengths.items():
-            if s.separates(i, j):
-                v -= c
-        residual[(i, j)] = v
-    offsets = _phi_preimage(n, residual)
+    # leaf offsets: the phi-preimage of what the internal splits leave of -w
+    offsets = (tree_to_plucker(SemiLabeledTree(n, lengths)) - w).phi_preimage()
     if offsets is None:
         raise ValueError("residual not in image(phi); input is not a tree point")
     return SemiLabeledTree(n, lengths, offsets)
-
-
-def _phi_preimage(n, pairs):
-    """Solve a_i + a_j = pairs[(i,j)] exactly; None if inconsistent."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    # a_1 from the triangle (1,2,3); then a_j = pairs[(1,j)] - a_1
-    a1 = (pairs[(1, 2)] + pairs[(1, 3)] - pairs[(2, 3)]) / 2
-    a = [a1] + [pairs[(1, j)] - a1 for j in range(2, n + 1)]
-    for i, j in combinations(range(1, n + 1), 2):
-        if a[i - 1] + a[j - 1] != pairs[(i, j)]:
-            return None
-    return a
 
 
 # -- the simplicial complex T_n ------------------------------------------
@@ -520,6 +477,8 @@ def random_trivalent_tree(n, rng, max_length=10) -> SemiLabeledTree:
     The shape is drawn by leaf insertion: leaf k goes onto one of the
     2k-5 edges of the tree on k-1 leaves, uniformly, so each of the
     (2n-5)!! shapes has one insertion sequence and equal probability.
+    The lengths are drawn for the splits in sorted order, so a seed
+    gives one tree whatever the hash layout of a set of splits.
     """
     clusters = list(_THREE_LEAF_CLUSTERS)
     for k in range(4, n + 1):
@@ -527,7 +486,7 @@ def random_trivalent_tree(n, rng, max_length=10) -> SemiLabeledTree:
     splits = _cluster_splits(n, clusters, {})
     lengths = {
         s: Fraction(rng.randint(1, max_length), rng.randint(1, 4))
-        for s in splits
+        for s in sorted(splits)
     }
     offsets = [Fraction(rng.randint(0, max_length)) for _ in range(n)]
     return SemiLabeledTree(n, lengths, offsets)

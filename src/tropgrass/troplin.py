@@ -13,8 +13,8 @@ from math import lcm
 
 from .minplus import finite_point, scaled_linear_form
 from .pvector import (
-    INF, PlueckerVector, d_subsets, ext, parse_partition, partition_key,
-    scaled, subset_key, subset_tuple)
+    INF, DPartition, PlueckerVector, d_subsets, ext, scaled, subset_key,
+    subset_tuple)
 from .treespace import cherries, is_caterpillar
 
 _TYPE_GUARD_D = (2, 3)
@@ -24,52 +24,6 @@ _TYPE_GUARD_N = 7
 class DegenerateCircuit(ValueError):
     """A circuit with fewer than two finite coefficients: w is outside
     the regime where L_w is a tropical linear space."""
-
-
-class DPartition:
-    """An unordered partition of [n] into exactly d nonempty blocks."""
-
-    __slots__ = ("n", "blocks")
-
-    def __init__(self, n, blocks):
-        blocks = tuple(
-            sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
-        )
-        flat = sorted(i for b in blocks for i in b)
-        if flat != list(range(1, n + 1)) or any(not b for b in blocks):
-            raise ValueError("blocks must partition [n]")
-        self.n = n
-        self.blocks = blocks
-
-    @property
-    def d(self):
-        return len(self.blocks)
-
-    @classmethod
-    def parse(cls, text, n=None):
-        """Read str(p) back by pvector.parse_partition."""
-        blocks = parse_partition(text, n)
-        return cls(sum(map(len, blocks)) if n is None else n, blocks)
-
-    def __str__(self):
-        """The blocks by pvector.partition_key: "1|23|456" for n <= 9,
-        "1,2|3,...,10" for n >= 10."""
-        return partition_key(self.blocks, self.n)
-
-    __repr__ = __str__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DPartition)
-            and other.n == self.n
-            and other.blocks == self.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
-
-    def __lt__(self, other):
-        return self.blocks < other.blocks
 
 
 def is_bounded_face(p: DPartition) -> bool:

@@ -379,3 +379,14 @@ def test_g36_facet_census_claim_is_a_json_object(tmp_path):
     census = g36.facet_census(g36.build_g36())
     assert claim["expected"] == census
     assert claim["actual"] == census
+
+
+@pytest.mark.parametrize("point", ["-3,1,2,0,1,2", "-1/2,0,0,1,2,4"])
+def test_plane_member_reads_a_negative_point_in_both_forms(point, tmp_path, capsys):
+    w_path = snowflake_w_file(tmp_path)
+    spaced, glued = tmp_path / "spaced.json", tmp_path / "glued.json"
+    common = ["plane", "member", "--w", str(w_path)]
+    assert run([*common, "--point", point, "--output", str(spaced)]) == 0
+    assert run([*common, f"--point={point}", "--output", str(glued)]) == 0
+    assert spaced.read_bytes() == glued.read_bytes()
+    assert capsys.readouterr().err == ""

@@ -77,3 +77,11 @@ def test_no_import_in_a_function_body(path):
              for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not inner
+
+
+def test_minplus_alone_imports_csv():
+    """One matrix CSV dialect: TropMatrix.to_csv and from_csv."""
+    importers = [str(path.relative_to(SRC)) for path in MODULES
+                 if any(top == "csv"
+                        for _, top, _ in imports(ast.parse(path.read_text())))]
+    assert importers == ["tropgrass/minplus.py"]

@@ -18,6 +18,8 @@ from tropgrass.exactalg import (
     plucker_ring,
     three_term_quadric,
 )
+from tropgrass.minplus import TropMatrix
+from tropgrass.pvector import INF, DPartition, PlueckerVector
 from tropgrass.treespace import (
     SemiLabeledTree,
     Split,
@@ -51,6 +53,21 @@ def test_split_basics():
         Split(6, {3})
     with pytest.raises(ValueError):
         Split(6, {1, 2}, {2, 3, 4, 5, 6})
+
+
+def test_split_is_a_two_block_d_partition():
+    s = Split(6, {3, 4})
+    assert isinstance(s, DPartition)
+    assert s == DPartition(6, [[3, 4], [1, 2, 5, 6]]) == DPartition.parse("1256|34")
+    assert hash(s) == hash(DPartition.parse("1256|34"))
+    for n in (6, 12):
+        for t in (Split(n, {2, n}), Split(n, {1, 2}, range(3, n + 1))):
+            back = Split.parse(str(t), n)
+            assert back == t and type(back) is Split and back.A == t.A
+    assert Split.parse("12|345").sides() == ({1, 2}, {3, 4, 5})
+    for text in ("1|2|3456", "1|23456", "12|346"):
+        with pytest.raises(ValueError):
+            Split.parse(text, 6)
 
 
 def test_split_compatibility():
@@ -138,6 +155,26 @@ def test_additive_linkage_non_trivalent_and_star():
     assert additive_linkage(tree_to_plucker(t)) == t
     s = star_tree(5)
     assert additive_linkage(tree_to_plucker(s)) == s
+
+
+def test_distance_csv_is_trop_matrix_csv():
+    w = tree_to_plucker(snowflake())
+    text = dissimilarity_to_csv(w)
+    assert TropMatrix.from_csv(text).to_csv() == text
+    with pytest.raises(ValueError, match="finite entries, not inf"):
+        dissimilarity_from_csv("0,inf\ninf,0\n")
+    with pytest.raises(ValueError, match="ragged"):
+        dissimilarity_from_csv("0,1\n1\n")
+    with pytest.raises(ValueError, match="square"):
+        dissimilarity_from_csv("0,1,2\n1,0,3\n")
+    with pytest.raises(ValueError, match="coordinate 12 of the result is -inf"):
+        dissimilarity_to_csv(PlueckerVector(2, 4, {(1, 2): INF}))
+
+
+def test_additive_linkage_needs_three_leaves_and_finite_distances():
+    for w in (PlueckerVector(2, 2, {(1, 2): -3}), PlueckerVector(2, 5, {(1, 2): INF})):
+        with pytest.raises(ValueError, match="n >= 3 leaves and finite distances"):
+            additive_linkage(w)
 
 
 def test_additive_linkage_rejects_non_tree():

@@ -216,6 +216,25 @@ def test_plane_type_of_snowflake_has_nine_edges():
     assert types == expected
 
 
+@pytest.mark.parametrize("n", range(4, 8))
+def test_plane_type_of_a_tree_bounds_its_splits(n):
+    """At d = 2 the bounded types of L_w are the splits of the tree of w,
+    as DPartition objects, and the other types are the obvious ones;
+    both for trivalent trees and with one split contracted; fewer trees
+    at larger n, where plane_type costs more."""
+    rng = random.Random(70 + n)
+    for _ in range(9 - n):
+        tree = random_trivalent_tree(n, rng)
+        dropped = rng.choice(sorted(tree.splits))
+        contracted = SemiLabeledTree(
+            n, {s: c for s, c in tree.internal_lengths.items() if s != dropped},
+            tree.leaf_offsets)
+        for t in (tree, contracted):
+            types = plane_type(tree_to_plucker(t))
+            assert {p for p in types if is_bounded_face(p)} == t.splits
+            assert {p for p in types if not is_bounded_face(p)} == obvious_types(2, n)
+
+
 def test_plane_type_guards():
     with pytest.raises(ValueError):
         plane_type(PlueckerVector(4, 6, {(1, 2, 3, 4): 1}))

@@ -47,13 +47,15 @@ class SimplicialComplex:
     def flag(cls, vertices, edges):
         """The flag (clique) complex of a graph: faces = cliques."""
         vertices = list(vertices)
-        adj = {v: set() for v in vertices}
+        order = sorted(vertices, key=str)
+        index = {v: i for i, v in enumerate(order)}
+        adj = [0] * len(order)
         for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        cliques = list(_max_cliques(adj))
-        isolated = [frozenset([v]) for v in vertices if not adj[v]]
-        return cls(vertices, cliques + isolated)
+            i, j = index[u], index[v]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        cliques = [frozenset(order[i] for i in _bits(c)) for c in _max_cliques(adj)]
+        return cls(vertices, cliques)
 
     def faces(self):
         """dict: dimension -> sorted list of faces, each the sorted tuple
@@ -130,20 +132,33 @@ class SimplicialComplex:
     def betti_numbers(self, check_torsion=False):
         """Ranks of H_d(K; Q) for d = 0..dim.
 
-        Each boundary matrix is built once and reduced by one integer
-        elimination with unit pivots (see _invariant_factors), which gives
-        its rank and its invariant factors together.  With
-        check_torsion=True, raises if some invariant factor is not 1, that
-        is, if integral homology has torsion; otherwise integral homology
-        is free and the Betti numbers tell all.
+        For d = 1..dim the coboundary matrix, the transpose of the
+        boundary map C_d -> C_{d-1}, is reduced by one integer elimination
+        with unit pivots (see _eliminate), which gives the rank of the
+        boundary map and its invariant factors together: a matrix and its
+        transpose share them.  The column of a (d-1)-face that was a pivot
+        row of the reduction before is skipped ("clearing"): that pivot
+        column is a cocycle with entry 1 on the face, so the face's column
+        is an integer combination of the columns of the faces after it in
+        pivot order and of the faces that were no pivot, and dropping it
+        leaves the column lattice as it was.  With check_torsion=True,
+        raises for the least d whose boundary map has an invariant factor
+        other than 1, that is, if integral homology has torsion; otherwise
+        integral homology is free and the Betti numbers tell all.
         """
         top = self.dim()
         if top < 0:
             return ()
-        ranks = {}
-        ncells = {d: len(self.faces_of_dim(d)) for d in range(top + 1)}
+        ncells = [len(self.faces_of_dim(d)) for d in range(top + 1)]
+        ranks = [0] * (top + 2)
+        pivots = {}
         for d in range(1, top + 1):
-            factors = _invariant_factors(self.boundary_matrix(d)[0])
+            cob = [{} for _ in range(ncells[d - 1])]
+            for j, col in enumerate(self.boundary_matrix(d)[0]):
+                for i, v in col.items():
+                    cob[i][j] = v
+            kept = [col for i, col in enumerate(cob) if i not in pivots]
+            pivots, factors = _eliminate(kept)
             ranks[d] = len(factors)
             torsion = [f for f in factors if f != 1]
             if check_torsion and torsion:
@@ -151,8 +166,6 @@ class SimplicialComplex:
                     f"torsion detected in boundary map d={d}: "
                     f"invariant factors {torsion}"
                 )
-        ranks[0] = 0
-        ranks[top + 1] = 0
         return tuple(
             ncells[d] - ranks[d] - ranks[d + 1] for d in range(top + 1)
         )
@@ -178,23 +191,39 @@ class SimplicialComplex:
         return f"SimplicialComplex(f={self.f_vector()})"
 
 
+def _bits(mask):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _max_cliques(adj):
-    """Bron-Kerbosch with pivoting; yields maximal cliques of size >= 1."""
-    order = sorted(adj, key=str)
+    """Bron-Kerbosch with pivoting on a graph whose vertices are 0..n-1
+    and adj[v] the bitmask of v's neighbours; yields the maximal cliques,
+    isolated vertices included, as bitmasks.  The pivot is the least
+    vertex with the most neighbours in P and candidates go in increasing
+    order, so the cliques come in one order whatever the labels hash to.
+    """
 
     def bk(R, P, X):
-        if not P and not X:
-            if R:
-                yield frozenset(R)
+        if not P:
+            if not X:
+                yield R
             return
-        pivot = max(P | X, key=lambda u: len(adj[u] & P))
-        cand = P - adj[pivot]
-        for v in [v for v in order if v in cand]:
-            yield from bk(R | {v}, P & adj[v], X & adj[v])
-            P = P - {v}
-            X = X | {v}
+        most = -1
+        for u in _bits(P | X):
+            if (k := (adj[u] & P).bit_count()) > most:
+                most, pivot = k, u
+        for v in _bits(P & ~adj[pivot]):
+            bit = 1 << v
+            yield from bk(R | bit, P & adj[v], X & adj[v])
+            P &= ~bit
+            X |= bit
 
-    yield from bk(set(), set(order), set())
+    if adj:
+        yield from bk(0, (1 << len(adj)) - 1, 0)
 
 
 def _reduce(col, pivots):
@@ -228,7 +257,14 @@ def _reduce(col, pivots):
 def _invariant_factors(cols):
     """Nonzero invariant factors of a sparse integer matrix given as
     column dicts {row: entry}, each dividing the next; their number is
-    its rank.
+    its rank."""
+    return _eliminate(cols)[1]
+
+
+def _eliminate(cols):
+    """The elimination behind _invariant_factors; returns (pivots,
+    factors): the pivot columns by their pivot rows, as _reduce reads
+    them, and the nonzero invariant factors.
 
     One elimination over Z: each column is reduced against the pivot
     columns made so far and, if a +-1 entry is left, it becomes a pivot
@@ -259,10 +295,10 @@ def _invariant_factors(cols):
             break
         pending = residual
     if not residual:
-        return [1] * len(pivots)
+        return pivots, [1] * len(pivots)
     rows = sorted({r for col in residual for r in col})
     dense = [[col.get(r, 0) for col in residual] for r in rows]
-    return [1] * len(pivots) + _smith_factors(dense)
+    return pivots, [1] * len(pivots) + _smith_factors(dense)
 
 
 def _smith_factors(a):

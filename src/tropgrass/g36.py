@@ -136,7 +136,7 @@ def vertices():
 def is_edge(u: G36Vertex, v: G36Vertex) -> bool:
     if u == v:
         raise ValueError("edge endpoints must differ")
-    if str(v) < str(u):
+    if v.kind < u.kind:
         u, v = v, u  # kinds now ordered e < f < g
     ku, kv = u.kind, v.kind
     if ku == "e" and kv == "e":

@@ -76,7 +76,7 @@ class SemiLabeledTree:
         for s, t in combinations(splits, 2):
             if not splits_compatible(s, t):
                 raise ValueError(f"incompatible splits {s} and {t}")
-        if len(splits) > n - 3:
+        if len(splits) > max(n - 3, 0):
             raise ValueError("too many splits for a tree")
         self.splits = frozenset(splits)
         self.internal_lengths = lengths

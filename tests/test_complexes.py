@@ -1,13 +1,17 @@
 """Simplicial complexes: f-vectors, links, flag complexes, homology."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
 from tropgrass.complexes import SimplicialComplex, _invariant_factors, _smith_factors
-from tropgrass.g36 import build_g36
+from tropgrass.g36 import TRIANGLE_LINKS, build_delta, build_g36, gv, vertices
 from tropgrass.treespace import tn_complex
 
 
@@ -249,3 +253,166 @@ def test_smith_factors_form_a_divisor_chain():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)]
         assert _smith_factors(a) == reference_smith_factors(a), a
+
+
+# -- homology: coboundaries with clearing against the plain elimination ----
+
+
+def reference_betti_numbers(c, check_torsion=False):
+    """Betti numbers by eliminating each boundary matrix in ascending d,
+    every column, with no transpose and no clearing."""
+    top = c.dim()
+    if top < 0:
+        return ()
+    ncells = c.f_vector()
+    ranks = [0] * (top + 2)
+    for d in range(1, top + 1):
+        factors = _invariant_factors(c.boundary_matrix(d)[0])
+        ranks[d] = len(factors)
+        torsion = [f for f in factors if f != 1]
+        if check_torsion and torsion:
+            raise ValueError(
+                f"torsion detected in boundary map d={d}: "
+                f"invariant factors {torsion}"
+            )
+    return tuple(ncells[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
+
+
+def outcome(betti, *args):
+    """The Betti numbers, or the text of the ValueError raised instead."""
+    try:
+        return betti(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def suspension(c):
+    """The join of c with two new points."""
+    apexes = [("north", len(c.vertices)), ("south", len(c.vertices))]
+    faces = [set(f) | {apex} for f in c.maximal_faces for apex in apexes]
+    return SimplicialComplex(list(c.vertices) + apexes, faces)
+
+
+def disjoint_union(a, b):
+    tag = lambda k, f: [(k, v) for v in f]  # noqa: E731
+    return SimplicialComplex(
+        tag(0, a.vertices) + tag(1, b.vertices),
+        [tag(0, f) for f in a.maximal_faces] + [tag(1, f) for f in b.maximal_faces],
+    )
+
+
+def random_flag_complex(rng):
+    n = rng.randint(1, 12)
+    p = rng.choice([0.2, 0.4, 0.6, 0.8])
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    return SimplicialComplex.flag(range(n + rng.randint(0, 2)), edges)
+
+
+def random_pure_complex(rng, dim):
+    """Random (dim+1)-sets on at most 9 vertices; every other one is glued
+    onto a relabelled RP^2 (dim 2) or its suspension (dim 3), so that some
+    of them have torsion."""
+    m = rng.randint(dim + 1, 9)
+    faces = [rng.sample(range(m), dim + 1) for _ in range(rng.randint(1, 3 * m))]
+    if rng.random() < 0.5:
+        base = projective_plane() if dim == 2 else suspension(projective_plane())
+        m = max(m, len(base.vertices))
+        relabel = dict(zip(base.vertices, rng.sample(range(m), len(base.vertices))))
+        faces = faces[: rng.randint(0, 4)]
+        faces += [[relabel[v] for v in f] for f in base.maximal_faces]
+    return SimplicialComplex(range(m), faces)
+
+
+def assert_same_homology(c):
+    assert c.betti_numbers() == reference_betti_numbers(c), c
+    got = outcome(c.betti_numbers, True)
+    assert got == outcome(reference_betti_numbers, c, True), c
+    return got
+
+
+def test_betti_numbers_match_reference_on_random_complexes():
+    rng = random.Random(23)
+    torsion = 0
+    for _ in range(120):
+        assert_same_homology(random_flag_complex(rng))
+    for dim in (2, 3):
+        for _ in range(120):
+            torsion += isinstance(assert_same_homology(random_pure_complex(rng, dim)), str)
+    assert 20 < torsion < 220  # the error path is compared, not only the ranks
+
+
+def test_betti_numbers_match_reference_with_torsion():
+    rp2 = projective_plane()
+    assert assert_same_homology(rp2).startswith("torsion detected in boundary map d=2:")
+    assert assert_same_homology(suspension(rp2)).startswith(
+        "torsion detected in boundary map d=3:")
+    # the least d with torsion is the one named
+    assert assert_same_homology(disjoint_union(suspension(rp2), rp2)).startswith(
+        "torsion detected in boundary map d=2:")
+    assert assert_same_homology(suspension(suspension(rp2))) == (
+        "torsion detected in boundary map d=4: invariant factors [2]")
+    for c in (circle(), sphere2(), SimplicialComplex([1, 2], [[1], [2]]),
+              SimplicialComplex([], [])):
+        assert_same_homology(c)
+
+
+def test_betti_numbers_match_reference_on_g36_links_and_tree_spaces():
+    g = build_g36()
+    for tri, _ in TRIANGLE_LINKS.values():
+        assert_same_homology(g.link([gv(x) for x in tri]))
+    rng = random.Random(24)
+    order = sorted(g.vertices, key=str)
+    for d in (0, 1, 2):
+        for face in rng.sample(g.faces_of_dim(d), 6):
+            assert_same_homology(g.link([order[i] for i in face]))
+    for n in (4, 5, 6, 7):
+        assert_same_homology(tn_complex(n))
+    assert assert_same_homology(build_delta()) == (1, 0, 0, 126, 0)
+    assert assert_same_homology(g) == (1, 0, 0, 126)
+
+
+# -- flag complexes: bitmask Bron-Kerbosch against brute force -------------
+
+
+def reference_maximal_cliques(labels, edges):
+    """Every maximal clique, by testing every vertex subset."""
+    adjacent = {frozenset(e) for e in edges}
+    cliques = [
+        frozenset(s)
+        for k in range(1, len(labels) + 1)
+        for s in combinations(labels, k)
+        if all(frozenset(p) in adjacent for p in combinations(s, 2))
+    ]
+    return {c for c in cliques if not any(c < o for o in cliques)}
+
+
+def test_flag_complex_matches_brute_force_cliques_on_mixed_labels():
+    pool = ([0, 1, 2, 3, 7, -4] + ["1", "a", "b", "e_123", ""]
+            + [(1,), (1, 2), ("a", 3)] + vertices()[::13])
+    rng = random.Random(25)
+    for _ in range(150):
+        labels = rng.sample(pool, rng.randint(0, 10))
+        p = rng.choice([0.3, 0.5, 0.7, 0.9])
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u, v in combinations(labels, 2) if rng.random() < p]
+        edges += rng.sample(edges, len(edges) // 4)  # repeated edges
+        c = SimplicialComplex.flag(labels, edges)
+        assert len(set(c.maximal_faces)) == len(c.maximal_faces)
+        assert set(c.maximal_faces) == reference_maximal_cliques(labels, edges)
+        assert c.vertices == tuple(labels)
+
+
+def test_g36_maximal_face_order_does_not_depend_on_the_hash_seed():
+    script = (
+        "from tropgrass.g36 import build_delta, build_g36\n"
+        "for c in (build_delta(), build_g36()):\n"
+        "    print([sorted(map(str, f)) for f in c.maximal_faces])\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert outs[0].count("\n") == 2 and "e_123" in outs[0]
+    assert outs[0] == outs[1]

@@ -189,6 +189,15 @@ def test_facet_cone_samples():
         facet_cone_sample("ABCD")
 
 
+def test_is_edge_is_symmetric():
+    verts = vertices()
+    for i, u in enumerate(verts):
+        for v in verts[i + 1:]:
+            assert is_edge(u, v) == is_edge(v, u), (u, v)
+    with pytest.raises(ValueError):
+        is_edge(verts[0], verts[0])
+
+
 def test_permutation_action_preserves_edges():
     perm = (2, 3, 4, 5, 6, 1)
     for u, v in edges()[:100]:

@@ -112,6 +112,17 @@ def test_tree_construction_guards():
         SemiLabeledTree(4, {Split(4, {1, 2}): 1}, [0, 0, 0])
 
 
+def test_star_trees_on_two_and_three_leaves():
+    for n in (2, 3):
+        t = star_tree(n)
+        assert t.splits == frozenset()
+        assert tree_to_plucker(t) == PlueckerVector(2, n, {})
+    w = tree_to_plucker(SemiLabeledTree(2, {}, [1, Fraction(1, 2)]))
+    assert w == PlueckerVector(2, 2, {(1, 2): Fraction(-3, 2)})
+    w = tree_to_plucker(SemiLabeledTree(3, {}, [1, 2, 4]))
+    assert w == PlueckerVector(2, 3, {(1, 2): -3, (1, 3): -5, (2, 3): -6})
+
+
 def test_distances():
     t = snowflake()
     assert t.distance(1, 2) == 2  # offsets only, same cherry
@@ -272,6 +283,12 @@ def test_tn_complex_homology_wedge_of_spheres():
     # T_n is homotopy equivalent to a wedge of (n-2)! spheres S^{n-4}
     assert tn_complex(5).betti_numbers(check_torsion=True) == (1, 6)
     assert tn_complex(6).betti_numbers(check_torsion=True) == (1, 0, 24)
+    # (Robinson & Whitehouse 1996); T_8 with its f-vector
+    assert tn_complex(4).betti_numbers(check_torsion=True) == (3,)
+    assert tn_complex(7).betti_numbers(check_torsion=True) == (1, 0, 0, 120)
+    t8 = tn_complex(8)
+    assert t8.f_vector() == (119, 1918, 9450, 17325, 10395)
+    assert t8.betti_numbers(check_torsion=True) == (1, 0, 0, 0, 720)
 
 
 def test_tn_complex_guard():

@@ -294,7 +294,9 @@ def suspension(c):
 
 
 def disjoint_union(a, b):
-    tag = lambda k, f: [(k, v) for v in f]  # noqa: E731
+    def tag(k, f):
+        return [(k, v) for v in f]
+
     return SimplicialComplex(
         tag(0, a.vertices) + tag(1, b.vertices),
         [tag(0, f) for f in a.maximal_faces] + [tag(1, f) for f in b.maximal_faces],

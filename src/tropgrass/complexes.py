@@ -45,13 +45,18 @@ class SimplicialComplex:
 
     @classmethod
     def flag(cls, vertices, edges):
-        """The flag (clique) complex of a graph: faces = cliques."""
+        """The flag (clique) complex of a simple graph: faces = cliques.
+        A loop edge or an edge to an unknown vertex raises ValueError."""
         vertices = list(vertices)
         order = sorted(vertices, key=str)
         index = {v: i for i, v in enumerate(order)}
         adj = [0] * len(order)
         for u, v in edges:
-            i, j = index[u], index[v]
+            i, j = index.get(u), index.get(v)
+            if i is None or j is None:
+                raise ValueError(f"edge {(u, v)} uses unknown vertices")
+            if i == j:
+                raise ValueError(f"edge {(u, v)} is a loop")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         cliques = [frozenset(order[i] for i in _bits(c)) for c in _max_cliques(adj)]

@@ -29,6 +29,19 @@ def sort_sign(tup):
     return sign, tuple(t)
 
 
+def _leibniz_minor(ring, rows, cols) -> MultiPoly:
+    """The minor on the (1-based) columns cols of a d x n matrix of
+    MultiPolys of ring given by its rows: the sum over the permutations
+    of range(d) of the signed products of the entries they pick."""
+    det = ring.zero()
+    for perm in permutations(range(len(rows))):
+        prod = ring.one()
+        for r, pos in enumerate(perm):
+            prod = prod * rows[r][cols[pos] - 1]
+        det = det + prod if sort_sign(perm)[0] > 0 else det - prod
+    return det
+
+
 def plucker_ring(d: int, n: int, field=QQ) -> PolyRing:
     """The ring of I_{d,n}, one shared object per (d, n, field), whether
     the field is passed or left to its default."""
@@ -153,16 +166,10 @@ def generic_matrix_ring(d: int, n: int, field=QQ) -> PolyRing:
 
 
 def generic_minor(ring: PolyRing, d: int, n: int, cols) -> MultiPoly:
-    terms = []
-    exp0 = [0] * ring.nvars
-    for perm in permutations(range(d)):
-        sign = sort_sign(perm)[0]
-        exp = exp0[:]
-        for r, pos in enumerate(perm):
-            c = cols[pos]
-            exp[r * n + (c - 1)] += 1
-        terms.append((tuple(exp), sign))
-    return ring.from_terms(terms)
+    """The minor on columns cols of the generic d x n matrix of
+    generic_matrix_ring, whose entry (r, c) is x<r>_<c>."""
+    return _leibniz_minor(
+        ring, [[ring.gen(r * n + c) for c in range(n)] for r in range(d)], cols)
 
 
 def expand_on_generic_matrix(f: MultiPoly, d: int, n: int) -> MultiPoly:
@@ -197,70 +204,27 @@ def expand_on_generic_matrix(f: MultiPoly, d: int, n: int) -> MultiPoly:
 class TPolyMatrix:
     """A d x n matrix of univariate polynomials in t over a field.
 
-    Entries are coefficient lists [c0, c1, ...] (index = power of t).
+    Entries are given as coefficient lists [c0, c1, ...] (index = power
+    of t) or scalars, and held as MultiPolys of the ring field[t].
     """
 
     def __init__(self, rows, field=QQ):
         self.field = field
-        self.entries = [
-            [self._coerce(entry) for entry in row] for row in rows
-        ]
+        self._ring = PolyRing(field, ("t",))
+
+        def poly(entry):
+            coeffs = entry if isinstance(entry, (list, tuple)) else [entry]
+            return self._ring.from_terms(((i,), c) for i, c in enumerate(coeffs))
+
+        self.entries = [[poly(entry) for entry in row] for row in rows]
         self.d = len(self.entries)
         self.n = len(self.entries[0]) if self.entries else 0
         if any(len(row) != self.n for row in self.entries):
             raise ValueError("ragged matrix")
 
-    def _coerce(self, entry):
-        if isinstance(entry, (list, tuple)):
-            coeffs = [self.field(c) for c in entry]
-        else:
-            coeffs = [self.field(entry)]
-        while coeffs and coeffs[-1] == self.field.zero():
-            coeffs.pop()
-        return coeffs
-
-    def _mul(self, a, b):
-        if not a or not b:
-            return []
-        zero = self.field.zero()
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = self.field.add(out[i + j], self.field.mul(x, y))
-        while out and out[-1] == zero:
-            out.pop()
-        return out
-
-    def _add(self, a, b):
-        zero = self.field.zero()
-        out = [zero] * max(len(a), len(b))
-        for i, x in enumerate(a):
-            out[i] = x
-        for i, y in enumerate(b):
-            out[i] = self.field.add(out[i], y)
-        while out and out[-1] == zero:
-            out.pop()
-        return out
-
     def minor(self, cols):
         """Determinant of the column submatrix, as a t-polynomial."""
-        cols = list(cols)
-        det = []
-        for perm in permutations(range(self.d)):
-            sign = sort_sign(perm)[0]
-            prod = [self.field.one()]
-            for r, pos in enumerate(perm):
-                prod = self._mul(prod, self.entries[r][cols[pos] - 1])
-                if not prod:
-                    break
-            if not prod:
-                continue
-            if sign < 0:
-                prod = [self.field.neg(c) for c in prod]
-            det = self._add(det, prod)
-        return det
+        return _leibniz_minor(self._ring, self.entries, cols)
 
 
 def plucker_valuations(M: TPolyMatrix) -> PlueckerVector:
@@ -274,8 +238,7 @@ def plucker_valuations(M: TPolyMatrix) -> PlueckerVector:
 
 def _valuation(M: TPolyMatrix, S):
     """The lowest t-degree of the minor on columns S, or INF if it vanishes."""
-    zero = M.field.zero()
-    return next((i for i, c in enumerate(M.minor(S)) if c != zero), INF)
+    return min((e[0] for e in M.minor(S).terms), default=INF)
 
 
 # -- the Fano configuration and its valuation certificate ----------------

@@ -11,6 +11,7 @@ import re
 from fractions import Fraction
 from weakref import WeakValueDictionary
 
+from .orders import degrevlex
 from .scalars import QQ
 
 
@@ -213,10 +214,7 @@ class MultiPoly:
 
     def sorted_terms(self, order=None):
         """Terms sorted leading-first (by order key, or degrevlex default)."""
-        if order is None:
-            keyf = lambda e: (sum(e), tuple(reversed([-x for x in e])))
-        else:
-            keyf = order.key
+        keyf = (order or degrevlex(self.ring.nvars)).key
         return sorted(self.terms.items(), key=lambda t: keyf(t[0]), reverse=True)
 
     def __str__(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .complexes import SimplicialComplex
-from .pvector import PlueckerVector
+from .pvector import PlueckerVector, basis_vector
 
 N = 6
 
@@ -62,24 +62,13 @@ class G36Vertex:
 
     def raw_vector(self) -> PlueckerVector:
         """The 0/1/2 representative in R^20 (not phi-reduced)."""
-        coords = {}
-
-        def add(S, c=1):
-            S = tuple(sorted(S))
-            coords[S] = coords.get(S, 0) + c
-
         if self.kind == "e":
-            add(self.data)
-        elif self.kind == "f":
-            for S in combinations(self.data, 3):
-                add(S)
-        else:
-            p1, p2, p3 = self.data
-            for S in combinations(p1 + p2, 3):
-                add(S)
-            add(p2 + (p3[0],))
-            add(p2 + (p3[1],))
-        return PlueckerVector(3, N, coords)
+            return basis_vector(3, N, self.data)
+        if self.kind == "f":
+            return basis_vector(3, N, *combinations(self.data, 3))
+        p1, p2, p3 = self.data
+        return basis_vector(3, N, *combinations(p1 + p2, 3),
+                            p2 + (p3[0],), p2 + (p3[1],))
 
     def __eq__(self, other):
         return (

@@ -404,6 +404,19 @@ def test_flag_complex_matches_brute_force_cliques_on_mixed_labels():
         assert c.vertices == tuple(labels)
 
 
+@pytest.mark.parametrize("vertices,edges,message", [
+    ([1, 2], [(1, 1)], r"edge \(1, 1\) is a loop"),
+    ([1, 2, 3], [(1, 2), (1, 1)], r"edge \(1, 1\) is a loop"),
+    (["a"], [("a", "a")], r"edge \('a', 'a'\) is a loop"),
+    ([1, 2], [(1, 3)], r"edge \(1, 3\) uses unknown vertices"),
+    ([1, 2], [(1, 2), (3, 3)], r"edge \(3, 3\) uses unknown vertices"),
+    ([], [(1, 2)], r"edge \(1, 2\) uses unknown vertices"),
+])
+def test_flag_refuses_loops_and_unknown_endpoints(vertices, edges, message):
+    with pytest.raises(ValueError, match=message):
+        SimplicialComplex.flag(vertices, edges)
+
+
 def test_g36_maximal_face_order_does_not_depend_on_the_hash_seed():
     script = (
         "from tropgrass.g36 import build_delta, build_g36\n"

@@ -581,6 +581,116 @@ def test_tpoly_matrix_minors():
     assert plucker_valuations(Z)[(1, 2)] == INF
 
 
+def reference_t_minor(rows, field, cols):
+    """The minor on columns cols of a matrix over field[t] whose entries
+    are coefficient lists [c0, c1, ...] or scalars, in coefficient-list
+    arithmetic: the list of its coefficients up to the last nonzero one,
+    [] for a zero minor."""
+    zero = field.zero()
+
+    def trim(coeffs):
+        while coeffs and coeffs[-1] == zero:
+            coeffs.pop()
+        return coeffs
+
+    def coerce(entry):
+        return trim([field(c) for c in (
+            entry if isinstance(entry, (list, tuple)) else [entry])])
+
+    def mul(a, b):
+        if not a or not b:
+            return []
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == zero:
+                continue
+            for j, y in enumerate(b):
+                out[i + j] = field.add(out[i + j], field.mul(x, y))
+        return trim(out)
+
+    def add(a, b):
+        out = [zero] * max(len(a), len(b))
+        for i, x in enumerate(a):
+            out[i] = x
+        for i, y in enumerate(b):
+            out[i] = field.add(out[i], y)
+        return trim(out)
+
+    entries = [[coerce(entry) for entry in row] for row in rows]
+    det = []
+    for perm in itertools.permutations(range(len(entries))):
+        sign = sort_sign(perm)[0]
+        prod = [field.one()]
+        for r, pos in enumerate(perm):
+            prod = mul(prod, entries[r][cols[pos] - 1])
+            if not prod:
+                break
+        if not prod:
+            continue
+        if sign < 0:
+            prod = [field.neg(c) for c in prod]
+        det = add(det, prod)
+    return det
+
+
+def _random_t_entry(rng, field):
+    """A scalar or a coefficient list of t-degree 0-3 over field, zero
+    about a fifth of the time, with trailing zeros now and then."""
+    if field == QQ:
+        pick = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    else:
+        pick = lambda: field(rng.randrange(4))
+    if rng.random() < 0.2:
+        return rng.choice([0, [], [0, 0]])
+    if rng.random() < 0.2:
+        return pick()
+    return [pick() for _ in range(rng.randint(1, 4))]
+
+
+def test_t_minor_matches_coefficient_list_reference():
+    rng = random.Random(22)
+    vanishing = 0
+    for field in (QQ, GF(2), GF(3), GF4):
+        for d, n in ((2, 4), (3, 6), (3, 7)):
+            for trial in range(12):
+                rows = [[_random_t_entry(rng, field) for _ in range(n)]
+                        for _ in range(d)]
+                if trial % 3 == 0:
+                    # a repeated column: every minor through both vanishes
+                    a, b = rng.sample(range(n), 2)
+                    for row in rows:
+                        row[b] = row[a]
+                M = TPolyMatrix(rows, field)
+                for S in d_subsets(d, n):
+                    ref = reference_t_minor(rows, field, S)
+                    det = M.minor(S)
+                    assert det.total_degree() == len(ref) - 1
+                    assert [det.coeff((i,)) for i in range(len(ref))] == ref
+                    vanishing += not ref
+    assert vanishing > 100
+
+
+def reference_generic_minor(ring, d, n, cols):
+    """The minor on columns cols of the generic d x n matrix, built
+    term by term from the exponents of its permutations."""
+    terms = []
+    for perm in itertools.permutations(range(d)):
+        exp = [0] * ring.nvars
+        for r, pos in enumerate(perm):
+            exp[r * n + cols[pos] - 1] += 1
+        terms.append((tuple(exp), sort_sign(perm)[0]))
+    return ring.from_terms(terms)
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 6), (3, 7), (4, 7)])
+def test_generic_minor_matches_exponent_reference(d, n):
+    ring = generic_matrix_ring(d, n)
+    for S in d_subsets(d, n):
+        ref = reference_generic_minor(ring, d, n, S)
+        got = generic_minor(ring, d, n, S)
+        assert got == ref and str(got) == str(ref)
+
+
 # -- the Fano certificate -------------------------------------------------
 
 
@@ -622,7 +732,7 @@ def test_gf2_obstruction():
             total = 0
             for T in FANO_LINES:
                 det = M.minor(T)
-                total += det[1] if len(det) > 1 else 0
+                total += det.coeff((1,))
             assert total % 2 == 0
     M, best = fano_certificate_search(F2, random.Random(0), max_trials=400)
     assert M is None and best <= 6

@@ -7,7 +7,7 @@ import json
 from functools import reduce
 from itertools import combinations_with_replacement, zip_longest
 from math import comb
-from operator import mul
+from operator import mul, or_
 
 from ..complexes import integer_echelon
 from .groebner import StepBudgetExceeded, normal_form, reduced_groebner_basis
@@ -318,47 +318,102 @@ def _poly_sum(a, b):
     return out
 
 
-def _minimalize_monomials(exps):
-    exps = sorted(set(exps), key=lambda e: (sum(e), e))
-    out = []
-    for e in exps:
-        if not any(all(x <= y for x, y in zip(m, e)) for m in out):
-            out.append(e)
+def _poly_mul(a, b):
+    """a * b for coefficient lists with nonzero leading coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 
-def _hilbert_numerator(exps):
-    """Numerator of the Hilbert series of R/<exps> over (1-t)^nvars."""
-    exps = _minimalize_monomials(exps)
-    if not exps:
-        return [1]
-    if any(sum(e) == 0 for e in exps):
-        return []
-    # base case: pairwise coprime generators -> complete intersection
-    def coprime(a, b):
-        return all(x == 0 or y == 0 for x, y in zip(a, b))
+def _polarized_masks(exps):
+    """One int per exponent tuple: its polarization as a support mask,
+    with bit (i, k) set when x_i^k divides it.  Divisibility, lcm and
+    coprimality of monomials are those of their masks, and the degree
+    is the popcount."""
+    offsets = [0]
+    for col in zip(*exps):
+        offsets.append(offsets[-1] + max(col))
+    return [sum(((1 << a) - 1) << at for a, at in zip(e, offsets)) for e in exps]
 
-    if all(
-        coprime(exps[i], exps[j])
-        for i in range(len(exps))
-        for j in range(i + 1, len(exps))
-    ):
-        num = [1]
-        for e in exps:
-            num = _poly_sum(num, [0] * sum(e) + [-c for c in num])
-        return num
-    # pivot on the most frequent variable
-    nvars = len(exps[0])
-    counts = [sum(1 for e in exps if e[i] > 0) for i in range(nvars)]
-    piv = max(range(nvars), key=lambda i: counts[i])
-    pivot_exp = tuple(1 if i == piv else 0 for i in range(nvars))
-    # <I, x> : drop generators divisible by x, add x
-    with_x = [e for e in exps if e[piv] == 0] + [pivot_exp]
-    # I : x
-    colon = [tuple(max(v - 1, 0) if i == piv else v for i, v in enumerate(e))
-             for e in exps]
-    # exact sequence 0 -> (R/(I:x))(-1) -> R/I -> R/(I+<x>) -> 0
-    return _poly_sum(_hilbert_numerator(with_x), [0] + _hilbert_numerator(colon))
+
+def _minimal_masks(masks):
+    """The masks that no other one divides, for masks listed by
+    nondecreasing popcount (a divisor comes before its multiples)."""
+    out = []
+    for m in masks:
+        if all(k & ~m for k in out):
+            out.append(m)
+    return out
+
+
+def _minimalize_monomials(exps):
+    """The minimal generators among exps, by (degree, exponent)."""
+    exps = sorted(set(exps), key=lambda e: (sum(e), e))
+    by_mask = dict(zip(_polarized_masks(exps), exps))
+    return [by_mask[m] for m in _minimal_masks(list(by_mask))]
+
+
+def _hilbert_numerator(exps):
+    """Numerator of the Hilbert series of R/<exps> over (1-t)^nvars.
+
+    Computed on the polarization, a squarefree ideal with the same
+    graded Betti numbers and so the same numerator (Bigatti, JPAA 1997;
+    Bayer & Stillman, J. Symb. Comp. 1992).  [] for the unit ideal.
+    """
+    masks = _minimal_masks(sorted(set(_polarized_masks(exps)), key=int.bit_count))
+    if masks and not masks[0]:
+        return []
+    return _squarefree_numerator(masks)
+
+
+def _squarefree_numerator(masks):
+    """The numerator for the minimal squarefree generators masks, listed
+    by nondecreasing popcount; no mask is 0."""
+    if not masks:
+        return [1]
+    union = reduce(or_, masks)
+    if sum(m.bit_count() for m in masks) == union.bit_count():
+        # pairwise coprime: a complete intersection
+        return reduce(_poly_mul, ([1] + [0] * (m.bit_count() - 1) + [-1] for m in masks))
+    groups = _variable_disjoint_groups(masks)
+    if len(groups) > 1:
+        # R/I is the tensor product of the groups' quotients
+        return reduce(_poly_mul, map(_squarefree_numerator, groups))
+    counts = {}
+    for m in masks:
+        while m:
+            low = m & -m
+            counts[low] = counts.get(low, 0) + 1
+            m ^= low
+    x = max(counts, key=counts.get)
+    # 0 -> (R/(I:x))(-1) -> R/I -> R/(I+<x>) -> 0; I+<x> splits off x,
+    # and I:x rewrites only the generators that hold x, none of which
+    # is x itself, since x is shared.
+    without = [m for m in masks if not m & x]
+    cut = _minimal_masks([m ^ x for m in masks if m & x])
+    colon = sorted(cut + [m for m in without if all(k & ~m for k in cut)],
+                   key=int.bit_count)
+    return _poly_sum(_poly_mul(_squarefree_numerator(without), [1, -1]),
+                     [0] + _squarefree_numerator(colon))
+
+
+def _variable_disjoint_groups(masks):
+    """masks split into groups whose supports are pairwise disjoint and
+    which no finer such split has, each group in the order of masks."""
+    groups = []
+    while masks:
+        support, grown = masks[0], True
+        while grown:
+            grown = False
+            for m in masks:
+                if m & support and m | support != support:
+                    support |= m
+                    grown = True
+        groups.append([m for m in masks if m & support])
+        masks = [m for m in masks if not m & support]
+    return groups
 
 
 def degree_of(ideal: IdealHandle, max_steps=None) -> int:

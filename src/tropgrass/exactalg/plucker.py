@@ -33,6 +33,11 @@ def _leibniz_minor(ring, rows, cols) -> MultiPoly:
     """The minor on the (1-based) columns cols of a d x n matrix of
     MultiPolys of ring given by its rows: the sum over the permutations
     of range(d) of the signed products of the entries they pick."""
+    d, n = len(rows), len(rows[0]) if rows else 0
+    if len(cols) != d:
+        raise ValueError(f"a minor of a {d} x {n} matrix needs {d} columns, got {tuple(cols)}")
+    if not all(1 <= c <= n for c in cols):
+        raise ValueError(f"columns {tuple(cols)} are not all in 1..{n}")
     det = ring.zero()
     for perm in permutations(range(len(rows))):
         prod = ring.one()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tropgrass import treespace
+from tropgrass import g36, treespace
 from tropgrass.cli import build_parser, run
 from tropgrass.pvector import PlueckerVector, basis_vector, phi
 from tropgrass.treespace import SemiLabeledTree, Split, tree_to_plucker
@@ -159,6 +159,17 @@ def test_groebner_degree_and_budget(tmp_path):
     )
     assert code == 1
 
+
+
+def test_groebner_degree_of_a_g36_initial_ideal(tmp_path):
+    """in_w(I_{3,6}) is a flat degeneration of I_{3,6}: degree 42."""
+    w_path = tmp_path / "w.json"
+    w_path.write_text(g36.facet_cone_sample("FFGG").to_json())
+    out = tmp_path / "report.json"
+    code = run(["groebner", "degree", "--d", "3", "--n", "6",
+                "--w", str(w_path), "--output", str(out)])
+    assert code == 0
+    assert load_report(out)["degree"] == 42
 
 @pytest.mark.parametrize(
     "argv, budget",

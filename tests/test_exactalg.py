@@ -1,9 +1,12 @@
 """Exact polynomial algebra: fields, rings, orders, Groebner engine,
 initial ideals, Pluecker machinery, valuation certificates."""
 
+import importlib.util
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,12 +46,14 @@ from tropgrass.exactalg import (
     toric_kernel,
     weight_order,
 )
+from tropgrass import g36
 from tropgrass.exactalg import ideals
 from tropgrass.cli import SAGBI_WEIGHTS
 from tropgrass.exactalg.plucker import FANO_COLUMNS, TPolyMatrix, generic_minor, plucker_name
 from tropgrass.minplus import tropical_minors
 from tropgrass.pvector import INF, PlueckerVector, d_subsets
 from tropgrass.treespace import (
+    SemiLabeledTree,
     four_point_check,
     j_sigma,
     random_trivalent_tree,
@@ -520,6 +525,188 @@ def test_degree_of_matches_division_by_one_minus_t():
     assert factors >= set(range(1, 6))
 
 
+def _reference_poly_sum(a, b):
+    out = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def reference_minimalize_monomials(exps):
+    """The minimal generators by (degree, exponent), each monomial tested
+    against every kept one, as `ideals` did before its support masks."""
+    exps = sorted(set(exps), key=lambda e: (sum(e), e))
+    out = []
+    for e in exps:
+        if not any(all(x <= y for x, y in zip(m, e)) for m in out):
+            out.append(e)
+    return out
+
+
+def reference_hilbert_numerator(exps):
+    """The Hilbert numerator on exponent tuples, with a quadratic
+    pairwise-coprime base case and no split, as `ideals` computed it
+    before its support masks."""
+    exps = reference_minimalize_monomials(exps)
+    if not exps:
+        return [1]
+    if any(sum(e) == 0 for e in exps):
+        return []
+    # base case: pairwise coprime generators -> complete intersection
+    def coprime(a, b):
+        return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+    if all(
+        coprime(exps[i], exps[j])
+        for i in range(len(exps))
+        for j in range(i + 1, len(exps))
+    ):
+        num = [1]
+        for e in exps:
+            num = _reference_poly_sum(num, [0] * sum(e) + [-c for c in num])
+        return num
+    # pivot on the most frequent variable
+    nvars = len(exps[0])
+    counts = [sum(1 for e in exps if e[i] > 0) for i in range(nvars)]
+    piv = max(range(nvars), key=lambda i: counts[i])
+    pivot_exp = tuple(1 if i == piv else 0 for i in range(nvars))
+    # <I, x> : drop generators divisible by x, add x
+    with_x = [e for e in exps if e[piv] == 0] + [pivot_exp]
+    # I : x
+    colon = [tuple(max(v - 1, 0) if i == piv else v for i, v in enumerate(e))
+             for e in exps]
+    # exact sequence 0 -> (R/(I:x))(-1) -> R/I -> R/(I+<x>) -> 0
+    return _reference_poly_sum(reference_hilbert_numerator(with_x),
+                               [0] + reference_hilbert_numerator(colon))
+
+
+def _random_monomial_set(rng):
+    """Generators in up to 8 variables with exponents 0-3: a few random
+    monomials, some of their multiples and repeats, pure powers, and at
+    times a second group on variables the first does not use; some
+    variables stay unused."""
+    nvars = rng.randint(1, 8)
+    used = rng.sample(range(nvars), rng.randint(1, nvars))
+    groups = [used]
+    if len(used) >= 2 and rng.random() < 0.4:
+        cut = rng.randint(1, len(used) - 1)
+        groups = [used[:cut], used[cut:]]
+
+    def monomial(support):
+        e = [0] * nvars
+        for i in rng.sample(support, rng.randint(1, min(3, len(support)))):
+            e[i] = rng.randint(1, 3)
+        return e
+
+    exps = []
+    for support in groups:
+        for _ in range(rng.randint(1, 5)):
+            exps.append(monomial(support))
+        if rng.random() < 0.5:
+            e = [0] * nvars
+            e[rng.choice(support)] = rng.randint(1, 3)
+            exps.append(e)
+    for _ in range(rng.randint(0, 3)):
+        base = rng.choice(exps)
+        extra = monomial(used)
+        exps.append([min(x + y, 3) for x, y in zip(base, extra)])
+    if rng.random() < 0.3:
+        exps.append(rng.choice(exps))
+    rng.shuffle(exps)
+    return [tuple(e) for e in exps]
+
+
+def test_hilbert_numerator_matches_reference_on_random_sets():
+    rng = random.Random(23)
+    cases = [[], [(0, 0)], [(0, 0, 0), (1, 0, 2)], [(2, 1), (0, 0), (1, 1)]]
+    cases += [_random_monomial_set(rng) for _ in range(1500)]
+    shapes = set()
+    for exps in cases:
+        assert ideals._minimalize_monomials(exps) == reference_minimalize_monomials(exps), exps
+        assert ideals._hilbert_numerator(exps) == reference_hilbert_numerator(exps), exps
+        minimal = reference_minimalize_monomials(exps)
+        shapes.add(len(minimal) < len(set(exps)))
+    assert ideals._hilbert_numerator([]) == [1]
+    assert ideals._hilbert_numerator([(0, 0, 0)]) == []
+    assert shapes == {True, False}
+
+
+def _benchmark_requests(workload, seed, nblocks):
+    """The first nblocks request blocks the benchmark draws for a
+    workload and seed, from its own generator."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    blocks = gen.blocks(workload, seed)
+    return [req for _ in range(nblocks) for req in next(blocks)]
+
+
+def _leading_monomials(ideal):
+    order = degrevlex(ideal.ring.nvars)
+    return [order.leading_monomial(g) for g in ideal.reduced_groebner(order)]
+
+
+def test_hilbert_numerator_matches_reference_on_benchmark_leading_sets():
+    """Every in_w(I) that the first three seed-1 `ideal_queries` blocks
+    build: G(3,6) degrees at tropical minors, tree cones at n = 5..7 in
+    characteristics 0 and 2, and the d = 2 monomial-freeness weights."""
+    kinds = set()
+    for req in _benchmark_requests("ideal_queries", 1, 3):
+        kind = req["kind"]
+        if kind == "g36_degree":
+            d, n, char = 3, 6, 0
+            w = tropical_minors(req["matrix"])
+        elif kind == "tree_cone":
+            d, n, char = 2, req["n"], req["char"]
+            tree = SemiLabeledTree.from_split_json(json.dumps(req["tree"]))
+            w = tree_to_plucker(tree)
+        else:
+            d, n, char = 2, req["n"], 0
+            w = PlueckerVector.from_json(json.dumps(req["w"]))
+        ideal = IdealHandle.of(plucker_generators(d, n, field_of_characteristic(char)))
+        leads = _leading_monomials(initial_ideal(ideal, w.as_list()))
+        assert ideals._hilbert_numerator(leads) == reference_hilbert_numerator(leads)
+        assert ideals._minimalize_monomials(leads) == reference_minimalize_monomials(leads)
+        kinds.add((kind, n, char))
+    assert {("g36_degree", 6, 0), ("reject", 6, 0), ("reject", 7, 0),
+            ("free_tree", 6, 0)} <= kinds
+    assert {(n, c) for k, n, c in kinds if k == "tree_cone"} == {
+        (n, c) for n in (5, 6, 7) for c in (0, 2)}
+
+
+def test_g36_initial_ideals_have_degree_42():
+    """Each in_w(I_{3,6}) is a flat degeneration of I_{3,6} and has its
+    Hilbert function, so its degree is that of Gr(3,6), 42: at the seven
+    facet samples, at tropical minors and at random integer weights."""
+    ideal = IdealHandle.of(plucker_generators(3, 6))
+    rng = random.Random(36)
+    weights = [g36.facet_cone_sample(cls).as_list() for cls in sorted(g36.FACET_SAMPLES)]
+    weights += [tropical_minors([[rng.randint(0, 9) for _ in range(6)] for _ in range(3)]).as_list()
+                for _ in range(20)]
+    weights += [[rng.randint(-5, 5) for _ in range(20)] for _ in range(20)]
+    for w in weights:
+        assert degree_of(initial_ideal(ideal, w)) == 42, w
+
+
+def test_degree_of_zero_principal_and_complete_intersection():
+    R = PolyRing(QQ, ["x", "y", "z", "w"])
+    assert degree_of(IdealHandle(R, [])) == 1
+    assert degree_of(IdealHandle(R, [R.zero()])) == 1
+    rng = random.Random(4)
+    for k in range(1, 6):
+        f = R.zero()
+        for e in itertools.product(range(k + 1), repeat=4):
+            if sum(e) == k and rng.random() < 0.5:
+                f = f + R.monomial(e) * rng.randint(1, 3)
+        f = f + R.monomial((0, 0, 0, k))
+        assert degree_of(IdealHandle(R, [f])) == k, f
+    # degrevlex leads x^2, y^3, z^4 are pairwise coprime: a complete intersection
+    ci = [R.parse("x^2 + y*z"), R.parse("y^3 + w^3"), R.parse("z^4 + x*w^3")]
+    assert degree_of(IdealHandle(R, ci)) == 2 * 3 * 4
+    assert degree_of(IdealHandle(R, ci[:2])) == 2 * 3
+
+
 # -- Pluecker machinery ---------------------------------------------------
 
 
@@ -690,6 +877,22 @@ def test_generic_minor_matches_exponent_reference(d, n):
         got = generic_minor(ring, d, n, S)
         assert got == ref and str(got) == str(ref)
 
+
+
+@pytest.mark.parametrize("cols, message", [
+    ((0, 1), r"columns \(0, 1\) are not all in 1..3"),
+    ((1, 4), r"columns \(1, 4\) are not all in 1..3"),
+    ((-1, 2), r"columns \(-1, 2\) are not all in 1..3"),
+    ((1,), r"a minor of a 2 x 3 matrix needs 2 columns, got \(1,\)"),
+    ((1, 2, 3), r"a minor of a 2 x 3 matrix needs 2 columns, got \(1, 2, 3\)"),
+])
+def test_minors_refuse_columns_outside_the_matrix(cols, message):
+    """A column outside 1..n or a column count other than d is refused,
+    so column 0 cannot read column n through a negative index."""
+    with pytest.raises(ValueError, match=message):
+        TPolyMatrix([[1, 2, 3], [4, 5, 7]]).minor(cols)
+    with pytest.raises(ValueError, match=message):
+        generic_minor(generic_matrix_ring(2, 3), 2, 3, cols)
 
 # -- the Fano certificate -------------------------------------------------
 

@@ -251,7 +251,7 @@ class PlueckerVector:
         the least-squares preimage x, computed exactly; two vectors agree
         modulo image(phi) iff their reductions are equal.  Requires all
         coordinates finite and 2 <= d < n."""
-        self._check_reducible()
+        self._check_reducible("reduce_mod_phi")
         D, u = scaled(self.coords.values())
         residual, _, k = _phi_residual(self.d, self.n, u)
         return PlueckerVector(
@@ -262,24 +262,26 @@ class PlueckerVector:
         """The list x with phi(x, d) == self, exactly, or None if self is
         not in image(phi); x is unique since phi is injective for
         2 <= d < n.  Requires all coordinates finite and 2 <= d < n."""
-        self._check_reducible()
+        self._check_reducible("phi_preimage")
         D, u = scaled(self.coords.values())
         residual, X, k = _phi_residual(self.d, self.n, u)
         if any(residual):
             return None
         return [Fraction(x, k * D) for x in X]
 
-    def _check_reducible(self):
+    def _check_reducible(self, method):
+        """Refuse, naming the calling method, a vector that is not finite
+        or whose d is outside 2 <= d < n."""
         if not self.is_finite():
             raise ValueError("cannot reduce a vector with infinite coordinates")
         if not 2 <= self.d < self.n:
-            raise ValueError("reduce_mod_phi needs 2 <= d < n")
+            raise ValueError(f"{method} needs 2 <= d < n")
 
     def equals_mod_phi(self, other) -> bool:
         """Whether the residual of self - other is zero; vectors of
         different shapes are never equal, but each must be reducible."""
-        self._check_reducible()
-        other._check_reducible()
+        self._check_reducible("equals_mod_phi")
+        other._check_reducible("equals_mod_phi")
         if (self.d, self.n) != (other.d, other.n):
             return False
         _, ints = scaled([*self.coords.values(), *other.coords.values()])

@@ -8,6 +8,10 @@ straightening order.
 Sign convention: points of the tree cones are NEGATED tree metrics
 modulo image(phi): w = -sum(length * E_{A,B}) - phi(leaf_offsets), so
 that -w_ij is the path distance between leaves i and j.
+
+Leaf masks: a set of leaves of [n] is held as an int with bit j-1 set
+for leaf j.  A split's mask, and the cluster of a tree edge, is the side
+away from leaf 1.
 """
 
 from __future__ import annotations
@@ -25,16 +29,31 @@ from .pvector import INF, DPartition, PlueckerVector, parse_partition
 
 class Split(DPartition):
     """A split of [n]: a two-block d-partition whose blocks both have at
-    least 2 leaves.  A is the block holding leaf 1 and B the other."""
+    least 2 leaves.  A is the block holding leaf 1 and B the other; the
+    split keeps the leaf mask of B and builds the sets A and B when read."""
 
-    __slots__ = ("A", "B")
+    __slots__ = ("mask",)
 
     def __init__(self, n, A, B=None):
         A = frozenset(A)
         super().__init__(n, (A, frozenset(range(1, n + 1)) - A if B is None else B))
         if min(map(len, self.blocks)) < 2:
             raise ValueError("both sides need at least 2 leaves")
-        self.A, self.B = map(frozenset, self.blocks)
+        self.mask = sum(1 << (j - 1) for j in self.blocks[1])
+
+    @classmethod
+    def from_mask(cls, n, mask):
+        """The split with one side the leaf mask `mask` (either side)."""
+        full = (1 << n) - 1
+        B = mask ^ full if mask & 1 else mask
+        if not (0 <= B <= full and 2 <= B.bit_count() <= n - 2):
+            raise ValueError(f"mask {mask:#b} is not a split of [{n}]")
+        s = cls.__new__(cls)
+        s.n, s.mask = n, B
+        s.blocks = tuple(
+            tuple(j for j in range(1, n + 1) if (B >> (j - 1) & 1) == side)
+            for side in (0, 1))
+        return s
 
     @classmethod
     def parse(cls, text, n=None):
@@ -44,20 +63,28 @@ class Split(DPartition):
             raise ValueError("a split has exactly two blocks")
         return cls(p.n, *p.blocks)
 
+    @property
+    def A(self):
+        return frozenset(self.blocks[0])
+
+    @property
+    def B(self):
+        return frozenset(self.blocks[1])
+
     def separates(self, i, j) -> bool:
-        return (i in self.A) != (j in self.A)
+        return bool((self.mask >> (i - 1) ^ self.mask >> (j - 1)) & 1)
 
     def sides(self):
         return (self.A, self.B)
 
 
 def splits_compatible(s: Split, t: Split) -> bool:
-    """True iff some side of s is contained in some side of t."""
+    """True iff some side of s is contained in some side of t.  Both A
+    sides hold leaf 1, so that is: the B sides are disjoint or nested."""
     if s.n != t.n:
         raise ValueError("splits on different leaf sets")
-    return (
-        s.A <= t.A or s.A <= t.B or s.B <= t.A or s.B <= t.B
-    )
+    a, b = s.mask, t.mask
+    return not (a & b and a & ~b and b & ~a)
 
 
 class SemiLabeledTree:
@@ -68,17 +95,17 @@ class SemiLabeledTree:
         self.n = n
         lengths = {}
         for split, c in dict(internal_lengths).items():
+            if not (isinstance(split, Split) and split.n == n):
+                raise ValueError(f"{split!r} is not a Split of [{n}]")
             c = Fraction(c)
             if c <= 0:
                 raise ValueError("internal edge lengths must be positive")
             lengths[split] = c
-        splits = list(lengths)
-        for s, t in combinations(splits, 2):
+        for s, t in combinations(lengths, 2):
             if not splits_compatible(s, t):
                 raise ValueError(f"incompatible splits {s} and {t}")
-        if len(splits) > max(n - 3, 0):
+        if len(lengths) > max(n - 3, 0):
             raise ValueError("too many splits for a tree")
-        self.splits = frozenset(splits)
         self.internal_lengths = lengths
         self.leaf_offsets = (
             [Fraction(x) for x in leaf_offsets]
@@ -88,8 +115,13 @@ class SemiLabeledTree:
         if len(self.leaf_offsets) != n:
             raise ValueError("need one offset per leaf")
 
+    @property
+    def splits(self):
+        """The tree's splits, as a frozenset built when read."""
+        return frozenset(self.internal_lengths)
+
     def is_trivalent(self) -> bool:
-        return len(self.splits) == self.n - 3
+        return len(self.internal_lengths) == self.n - 3
 
     def distance(self, i, j):
         """Path distance: sum of separating internal lengths + offsets."""
@@ -110,16 +142,15 @@ class SemiLabeledTree:
         )
 
     def same_topology(self, other) -> bool:
-        return self.n == other.n and self.splits == other.splits
+        return (self.n == other.n
+                and self.internal_lengths.keys() == other.internal_lengths.keys())
 
     # -- exports ---------------------------------------------------------
 
     def to_split_json(self) -> str:
         """JSON with each internal edge as its two sides (the side with
         leaf 1 first), each a sorted list of leaves, and its length."""
-        sides = sorted(
-            ((sorted(s.A), sorted(s.B)), c) for s, c in self.internal_lengths.items()
-        )
+        sides = sorted((s.blocks, c) for s, c in self.internal_lengths.items())
         return json.dumps(
             {
                 "n": self.n,
@@ -149,29 +180,34 @@ class SemiLabeledTree:
     def to_newick(self) -> str:
         """Newick string with branch lengths, rooted beside leaf n."""
         n = self.n
-        # laminar family of clusters: split sides avoiding leaf n
+        full = (1 << n) - 1
+        # laminar family of clusters: split sides avoiding leaf n, as masks
         clusters = {
-            (s.A if n in s.B else s.B): c
+            (full ^ s.mask if s.mask >> (n - 1) & 1 else s.mask): c
             for s, c in self.internal_lengths.items()
         }
 
+        def below(C, D):
+            return C != D and C & D == C
+
         def render(members, available):
-            inner = [C for C in available if C < members]
-            maximal = [
-                C for C in inner if not any(C < D for D in inner if D != C)
-            ]
-            covered = set().union(*maximal) if maximal else set()
+            inner = [C for C in available if below(C, members)]
+            maximal = [C for C in inner if not any(below(C, D) for D in inner)]
             parts = []
-            for C in sorted(maximal, key=lambda C: min(C)):
+            rest = members
+            # lowest set bit first: the clusters in order of their least leaf
+            for C in sorted(maximal, key=lambda C: C & -C):
                 parts.append(
-                    render(C, [D for D in inner if D < C])
+                    render(C, [D for D in inner if below(D, C)])
                     + f":{clusters[C]}"
                 )
-            for leaf in sorted(members - covered):
-                parts.append(f"{leaf}:{self.leaf_offsets[leaf - 1]}")
+                rest ^= C
+            for leaf in range(1, n + 1):
+                if rest >> (leaf - 1) & 1:
+                    parts.append(f"{leaf}:{self.leaf_offsets[leaf - 1]}")
             return "(" + ",".join(parts) + ")"
 
-        body = render(frozenset(range(1, n)), list(clusters))
+        body = render(full >> 1, list(clusters))
         return f"({body[1:-1]},{n}:{self.leaf_offsets[n - 1]});"
 
     def __repr__(self):
@@ -266,9 +302,10 @@ def additive_linkage(w: PlueckerVector) -> SemiLabeledTree:
     def D0(i, j):
         return -w[(min(i, j), max(i, j))]
 
-    # active clusters keyed by representative; distances between clusters
+    # active clusters (leaf masks) keyed by representative; distances
+    # between clusters
     reps = list(range(1, n + 1))
-    members = {r: frozenset([r]) for r in reps}
+    members = {r: 1 << (r - 1) for r in reps}
     dist = {(i, j): D0(i, j) for (i, j) in combinations(reps, 2)}
 
     def d(a, b):
@@ -289,7 +326,7 @@ def additive_linkage(w: PlueckerVector) -> SemiLabeledTree:
             raise ValueError("no cherry found; input is not a tree point")
         a, b = cherry
         merged = members[a] | members[b]
-        if 2 <= len(merged) <= n - 2:
+        if 2 <= merged.bit_count() <= n - 2:
             split_sides.append(merged)
         x = next_rep
         next_rep += 1
@@ -304,12 +341,12 @@ def additive_linkage(w: PlueckerVector) -> SemiLabeledTree:
 
     lengths = {}
     for side in split_sides:
-        split = Split(n, side)
-        A, B = sorted(split.sides(), key=len)
+        split = Split.from_mask(n, side)
+        A, B = sorted(split.blocks, key=len)
         length = min(
             (D0(i, k) + D0(j, l) - D0(i, j) - D0(k, l)) / 2
-            for i, j in combinations(sorted(A), 2)
-            for k, l in combinations(sorted(B), 2)
+            for i, j in combinations(A, 2)
+            for k, l in combinations(B, 2)
         )
         if length > 0:
             lengths[split] = length
@@ -327,14 +364,14 @@ def additive_linkage(w: PlueckerVector) -> SemiLabeledTree:
 
 
 def _attach_leaf(clusters, i, bit):
-    """The edge clusters after attaching a new leaf (bitmask bit) to the
-    edge with cluster clusters[i].
+    """The edge clusters after attaching a new leaf (leaf mask bit) to
+    the edge with cluster clusters[i].
 
     A trivalent tree is held as the list of its edge clusters, each
-    cluster being the bitmask of the leaves (bit j-2 for leaf j) on the
-    side of the edge away from leaf 1; inserting a leaf into the edge
-    with cluster C adds the leaf to exactly the clusters containing C,
-    splits that edge in two and adds the leaf's own edge.
+    cluster being the leaf mask of the side of the edge away from leaf 1,
+    so an internal edge's cluster is its split's mask; inserting a leaf
+    into the edge with cluster C adds the leaf to exactly the clusters
+    containing C, splits that edge in two and adds the leaf's own edge.
     """
     C = clusters[i]
     grown = [C2 | bit if C2 & C == C else C2 for j, C2 in enumerate(clusters) if j != i]
@@ -343,7 +380,7 @@ def _attach_leaf(clusters, i, bit):
 
 
 # the leaf edges of the tree on {1, 2, 3}
-_THREE_LEAF_CLUSTERS = (0b01, 0b10, 0b11)
+_THREE_LEAF_CLUSTERS = (0b010, 0b100, 0b110)
 
 
 def _cluster_splits(n, clusters, cache):
@@ -354,7 +391,7 @@ def _cluster_splits(n, clusters, cache):
         if not 2 <= C.bit_count() <= n - 2:
             continue
         if C not in cache:
-            cache[C] = Split(n, [j for j in range(2, n + 1) if C >> (j - 2) & 1])
+            cache[C] = Split.from_mask(n, C)
         splits.append(cache[C])
     return frozenset(splits)
 
@@ -365,7 +402,7 @@ def _trivalent_split_sets(n):
     leaf k+1 to one of the 2k-3 edges of a tree on k leaves."""
     trees = [list(_THREE_LEAF_CLUSTERS)]
     for k in range(4, n + 1):
-        bit = 1 << (k - 2)
+        bit = 1 << (k - 1)
         trees = [
             _attach_leaf(clusters, i, bit)
             for clusters in trees
@@ -404,9 +441,10 @@ def _quartet_binomial(ring, tree: SemiLabeledTree, quad):
     # quadric pairings with signs, in order (ij|kl), (ik|jl), (il|jk)
     terms = [(((i, j), (k, l)), 1), (((i, k), (j, l)), -1), (((i, l), (j, k)), 1)]
     for t, (((a, b), (c, e)), _) in enumerate(terms):
-        # {a,b}|{c,e} is the sibling pairing iff some split separates the pairs
-        if any(not s.separates(a, b) and not s.separates(c, e) and s.separates(a, c)
-               for s in tree.splits):
+        # {a,b}|{c,e} is the sibling pairing iff some split separates the
+        # pairs: its side away from leaf 1 meets them in exactly one pair
+        P, Q = 1 << (a - 1) | 1 << (b - 1), 1 << (c - 1) | 1 << (e - 1)
+        if any(s.mask & (P | Q) in (P, Q) for s in tree.internal_lengths):
             del terms[t]
             break
     else:
@@ -457,7 +495,7 @@ def cherries(tree: SemiLabeledTree):
     """The 2-leaf sides of the tree's splits, each a sorted pair, sorted.
     In a trivalent tree these are its cherries: the leaf pairs that meet
     at one internal vertex."""
-    return sorted(tuple(sorted(side)) for s in tree.splits for side in s.sides()
+    return sorted(side for s in tree.internal_lengths for side in s.blocks
                   if len(side) == 2)
 
 
@@ -482,7 +520,7 @@ def random_trivalent_tree(n, rng, max_length=10) -> SemiLabeledTree:
     """
     clusters = list(_THREE_LEAF_CLUSTERS)
     for k in range(4, n + 1):
-        clusters = _attach_leaf(clusters, rng.randrange(len(clusters)), 1 << (k - 2))
+        clusters = _attach_leaf(clusters, rng.randrange(len(clusters)), 1 << (k - 1))
     splits = _cluster_splits(n, clusters, {})
     lengths = {
         s: Fraction(rng.randint(1, max_length), rng.randint(1, 4))

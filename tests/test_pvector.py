@@ -106,6 +106,15 @@ def test_equals_mod_phi_across_shapes_and_infinities():
             a.equals_mod_phi(b)
 
 
+@pytest.mark.parametrize("method", ["reduce_mod_phi", "phi_preimage", "equals_mod_phi"])
+def test_phi_methods_name_themselves_when_d_is_out_of_range(method):
+    for d, n in ((1, 4), (2, 2), (4, 4)):
+        v = PlueckerVector(d, n, {})
+        args = (v,) if method == "equals_mod_phi" else ()
+        with pytest.raises(ValueError, match=f"^{method} needs 2 <= d < n$"):
+            getattr(v, method)(*args)
+
+
 def _gauss_solve(matrix, rhs):
     """Reference: solve a square rational system by Gaussian elimination."""
     n = len(matrix)

@@ -1,7 +1,9 @@
 """Trees, tree metrics, the space of trees, and tree ideals."""
 
+import gc
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -80,6 +82,66 @@ def test_split_compatibility():
         splits_compatible(a, Split(5, {1, 2}))
 
 
+def reference_separates(s, i, j):
+    """The frozenset definition: i and j lie on different sides of s."""
+    return (i in s.A) != (j in s.A)
+
+
+def reference_compatible(s, t):
+    """The frozenset definition: some side of s lies in some side of t."""
+    return any(X <= Y for X in s.sides() for Y in t.sides())
+
+
+def random_split(rng, n):
+    while True:
+        side = {j for j in range(1, n + 1) if rng.random() < 0.5}
+        if 2 <= len(side) <= n - 2:
+            return Split(n, side)
+
+
+def split_pairs(rng, n):
+    """Seeded pairs of splits of [n]: random pairs, a split with itself
+    and with the split given by its other side, a crossing pair (one leaf
+    of B swapped with one of A), and pairs whose B sides are nested or
+    disjoint wherever a leaf can be moved."""
+    for _ in range(6):
+        s, t = random_split(rng, n), random_split(rng, n)
+        yield s, t
+        yield s, Split(n, s.B)
+        yield s, Split(n, s.A)
+        grow = sorted(s.A - {1})
+        yield s, Split(n, s.B - {rng.choice(sorted(s.B))} | {rng.choice(grow)})
+        if len(grow) >= 2:
+            yield s, Split(n, s.B | {rng.choice(grow)})
+            yield s, Split(n, set(rng.sample(grow, 2)))
+
+
+@pytest.mark.parametrize("n", range(4, 21))
+def test_split_masks_match_the_frozenset_definitions(n):
+    rng = random.Random(100 + n)
+    full = (1 << n) - 1
+    outcomes = set()
+    for s, t in split_pairs(rng, n):
+        for u in (s, t):
+            assert u.mask == sum(1 << (j - 1) for j in u.B)
+            assert Split.from_mask(n, u.mask) == u == Split.from_mask(n, full ^ u.mask)
+            p = DPartition(n, u.blocks)
+            assert u == p and p == u and hash(u) == hash(p)
+        for i, j in combinations(range(1, n + 1), 2):
+            assert s.separates(i, j) == s.separates(j, i) == reference_separates(s, i, j)
+        got = splits_compatible(s, t)
+        assert got == splits_compatible(t, s) == reference_compatible(s, t)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_split_from_mask_refuses_non_splits():
+    for n, mask in ((5, 0), (5, 0b00010), (5, 0b11110), (5, 0b100000), (5, -2),
+                    (4, 0b1110)):
+        with pytest.raises(ValueError, match="is not a split of"):
+            Split.from_mask(n, mask)
+
+
 # -- trees and metrics ----------------------------------------------------
 
 
@@ -110,6 +172,12 @@ def test_tree_construction_guards():
         SemiLabeledTree(6, {Split(6, {1, 2}): 1, Split(6, {2, 3}): 1})
     with pytest.raises(ValueError):
         SemiLabeledTree(4, {Split(4, {1, 2}): 1}, [0, 0, 0])
+    with pytest.raises(ValueError, match=r"^12\|345 is not a Split of \[6\]$"):
+        SemiLabeledTree(6, {Split(5, {1, 2}): 1})
+    with pytest.raises(ValueError, match="is not a Split of"):
+        SemiLabeledTree(5, {Split(5, {1, 2}): 1, Split(6, {1, 2}): 2})
+    with pytest.raises(ValueError, match=r"^12\|3456 is not a Split of \[6\]$"):
+        SemiLabeledTree(6, {DPartition(6, [[1, 2], [3, 4, 5, 6]]): 1})
 
 
 def test_star_trees_on_two_and_three_leaves():
@@ -279,6 +347,28 @@ def test_tn_complex_censuses(n, vertices, facets):
     assert c.is_pure() and c.dim() == n - 4
 
 
+TN_F_VECTORS = {
+    4: (3,),
+    5: (10, 15),
+    6: (25, 105, 105),
+    7: (56, 490, 1260, 945),
+    8: (119, 1918, 9450, 17325, 10395),
+}
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_tn_complex_vertices_and_f_vectors(n):
+    """The vertices are every split of [n] in str order, written as the
+    d-partition of its two leaf sets; the f-vector is the known one."""
+    leaves = frozenset(range(1, n + 1))
+    sides = [frozenset({1, *rest}) for k in range(1, n - 2)
+             for rest in combinations(range(2, n + 1), k)]
+    want = sorted(str(DPartition(n, [A, leaves - A])) for A in sides)
+    complex_ = tn_complex(n)
+    assert [str(v) for v in complex_.vertices] == want
+    assert complex_.f_vector() == TN_F_VECTORS[n]
+
+
 def test_tn_complex_homology_wedge_of_spheres():
     # T_n is homotopy equivalent to a wedge of (n-2)! spheres S^{n-4}
     assert tn_complex(5).betti_numbers(check_torsion=True) == (1, 6)
@@ -436,6 +526,29 @@ def test_random_trivalent_tree_is_trivalent():
 def test_random_trivalent_tree_many_leaves():
     t = random_trivalent_tree(30, random.Random(11))
     assert t.is_trivalent() and len(t.splits) == 27
+
+
+def test_kept_trees_hold_masks_not_frozensets():
+    """A Split keeps its blocks and one int mask: no frozenset and no
+    __dict__.  A 20-leaf tree then retains under 12 KB (about 28 KB when
+    each split also kept its two sides as frozensets)."""
+    rng = random.Random(20)
+    random_trivalent_tree(20, rng)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trees = [random_trivalent_tree(20, rng) for _ in range(20)]
+        gc.collect()
+        per_tree = (tracemalloc.get_traced_memory()[0] - before) / len(trees)
+    finally:
+        tracemalloc.stop()
+    assert per_tree < 12 * 1024
+    slots = [name for cls in Split.__mro__ for name in getattr(cls, "__slots__", ())]
+    for tree in trees:
+        for s in tree.internal_lengths:
+            assert not hasattr(s, "__dict__")
+            assert not any(isinstance(getattr(s, name), frozenset) for name in slots)
 
 
 def test_random_trivalent_tree_hits_every_shape():

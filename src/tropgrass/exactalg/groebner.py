@@ -76,7 +76,7 @@ class _Packing:
         self.low_bits = low
         self.high = 2 * low
         scale = n * self.field + 1
-        self.weights = [1 - w * scale for w in order._iw]
+        self.weights = [1 - w * scale for w in order.int_weight]
         self.coefs = [(a << self.high) - (1 << (s + low)) + (1 << s)
                       for a, s in zip(self.weights, self.shifts)]
         self.tuples = {}

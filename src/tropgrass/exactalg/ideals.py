@@ -3,7 +3,6 @@ intersection, elimination, toric kernels and Hilbert-series degrees."""
 
 from __future__ import annotations
 
-import json
 from functools import reduce
 from itertools import combinations_with_replacement, zip_longest
 from math import comb
@@ -13,7 +12,6 @@ from ..complexes import integer_echelon
 from .groebner import StepBudgetExceeded, normal_form, reduced_groebner_basis
 from .orders import TermOrder, degrevlex, elimination_order, weight_order
 from .poly import MultiPoly, PolyRing
-from .scalars import field_of_characteristic
 
 
 class IdealHandle:
@@ -55,23 +53,6 @@ class IdealHandle:
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.generators)
 
-    def to_json(self) -> str:
-        field = self.ring.field
-        return json.dumps(
-            {
-                "characteristic": field.characteristic,
-                "variables": list(self.ring.variables),
-                "generators": [str(g) for g in self.generators],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str):
-        data = json.loads(text)
-        field = field_of_characteristic(data["characteristic"])
-        ring = PolyRing(field, data["variables"])
-        return cls(ring, [ring.parse(g) for g in data["generators"]])
-
     def __repr__(self):
         return f"IdealHandle({len(self.generators)} gens in {self.ring})"
 
@@ -83,7 +64,7 @@ def initial_form(f: MultiPoly, w) -> MultiPoly:
     """Sum of the terms of f with minimal <exponent, w> (min convention)."""
     if f.is_zero():
         return f
-    iw = TermOrder(w)._iw
+    iw = TermOrder(w).int_weight
     if len(iw) != f.ring.nvars:
         raise ValueError("weight length does not match variable count")
     return _initial_form(f, iw)
@@ -114,7 +95,7 @@ def initial_ideal(ideal: IdealHandle, w, max_steps=None) -> IdealHandle:
         raise ValueError("weight length does not match variable count")
     basis = ideal.reduced_groebner(worder, max_steps=max_steps)
     shared = ideal.ring.shared
-    inw = IdealHandle(ideal.ring, [shared(_initial_form(g, worder._iw)) for g in basis])
+    inw = IdealHandle(ideal.ring, [shared(_initial_form(g, worder.int_weight)) for g in basis])
     order = degrevlex(ideal.ring.nvars)
     lead = order.leading_monomial
     # reduced_groebner_basis's order: the degrevlex key starts with the degree

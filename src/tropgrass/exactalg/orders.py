@@ -30,10 +30,10 @@ class TermOrder:
             raise ValueError(
                 f"weight entry {iw.index(None) + 1} of {self.nvars} is inf; "
                 "a term order needs finite weights")
-        self._iw = tuple(iw)  # the weight scaled to ints, order-equivalent
+        self.int_weight = tuple(iw)  # the weight scaled to ints, order-equivalent
 
     def key(self, exp):
-        wdot = sum(a * b for a, b in zip(exp, self._iw))
+        wdot = sum(a * b for a, b in zip(exp, self.int_weight))
         return (-wdot, (sum(exp), tuple(-e for e in reversed(exp))))
 
     def leading_term(self, poly):
@@ -56,10 +56,10 @@ class TermOrder:
         return all(x <= 0 for x in self.weight)
 
     def __eq__(self, other):
-        return isinstance(other, TermOrder) and other._iw == self._iw
+        return isinstance(other, TermOrder) and other.int_weight == self.int_weight
 
     def __hash__(self):
-        return hash(self._iw)
+        return hash(self.int_weight)
 
     def __repr__(self):
         wtag = "0" if all(x == 0 for x in self.weight) else str(list(self.weight))

@@ -3,8 +3,8 @@
 Also hosts the text of leaf sets and the d-partitions of [n] written
 with it, the sum-over-subsets map phi : R^n -> R^C(n,d) whose image is
 the common lineality space of all cones of the tropical Grassmannian,
-exact reduction modulo that image and inversion of phi, and `scaled`,
-which clears denominators.
+exact reduction modulo that image, and `scaled`, which clears
+denominators.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def phi(a, d: int):
 
 
 def _phi_residual(d: int, n: int, u):
-    """(k*(u - phi(x)), k*x, k) for ints u over subset_tuple(d, n), with
-    x the least-squares preimage of u.  The Gram matrix of phi's columns is
+    """(k*(u - phi(x)), k) for ints u over subset_tuple(d, n), with x the
+    least-squares preimage of u.  The Gram matrix of phi's columns is
     aI + bJ with a = C(n-2, d-1) and b = C(n-2, d-2), so for r = phi^T(u),
     x = (r - b*sum(r) / (a + n*b)) / a, and k = a*(a + n*b) makes k*x the
     int vector X = (a + n*b)*r - b*sum(r)."""
@@ -159,7 +159,7 @@ def _phi_residual(d: int, n: int, u):
     total = sum(r)
     X = [(a + n * b) * ri - b * total for ri in r]
     k = a * (a + n * b)
-    return [uS * k - sum(X[i - 1] for i in S) for S, uS in zip(subsets, u)], X, k
+    return [uS * k - sum(X[i - 1] for i in S) for S, uS in zip(subsets, u)], k
 
 
 class PlueckerVector:
@@ -253,21 +253,10 @@ class PlueckerVector:
         coordinates finite and 2 <= d < n."""
         self._check_reducible("reduce_mod_phi")
         D, u = scaled(self.coords.values())
-        residual, _, k = _phi_residual(self.d, self.n, u)
+        residual, k = _phi_residual(self.d, self.n, u)
         return PlueckerVector(
             self.d, self.n,
             {S: Fraction(v, k * D) for S, v in zip(self.subsets, residual)})
-
-    def phi_preimage(self):
-        """The list x with phi(x, d) == self, exactly, or None if self is
-        not in image(phi); x is unique since phi is injective for
-        2 <= d < n.  Requires all coordinates finite and 2 <= d < n."""
-        self._check_reducible("phi_preimage")
-        D, u = scaled(self.coords.values())
-        residual, X, k = _phi_residual(self.d, self.n, u)
-        if any(residual):
-            return None
-        return [Fraction(x, k * D) for x in X]
 
     def _check_reducible(self, method):
         """Refuse, naming the calling method, a vector that is not finite

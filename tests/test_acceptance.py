@@ -48,7 +48,6 @@ from tropgrass.minplus import tropical_minors
 from tropgrass.pvector import d_subsets
 from tropgrass.treespace import (
     SemiLabeledTree,
-    _trivalent_split_sets,
     circular_weight,
     is_caterpillar,
     j_sigma,
@@ -133,7 +132,7 @@ def test_criterion_01_tree_space_censuses():
         assert tn_complex(7).f_vector()[:1] == (56,)
         assert len(tn_complex(7).maximal_faces) == 945
         for n in range(4, 10):
-            shapes = _trivalent_split_sets(n)
+            shapes = tn_complex(n).maximal_faces
             splits = {s for shape in shapes for s in shape}
             assert len(splits) == 2 ** (n - 1) - n - 1, n
             assert len(shapes) == math.prod(range(2 * n - 5, 0, -2)), n
@@ -381,7 +380,7 @@ def test_criterion_07_tropical_planes():
         res = ci_status_d2(snowflake)
         assert res.status == "NotCompleteIntersection"
         for n in (6, 7):
-            for shape in _trivalent_split_sets(n):
+            for shape in tn_complex(n).maximal_faces:
                 tree = SemiLabeledTree(n, {s: 1 for s in shape})
                 status = ci_status_d2(tree).status
                 if is_caterpillar(tree):

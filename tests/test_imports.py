@@ -2,8 +2,9 @@
 
 The library depends on the standard library alone, every name it
 imports is used, no module imports another's private (`_`-prefixed)
-name, and every import sits at module level, never in a function body.
-A package `__init__` counts the names it lists in `__all__` as used.
+name or reads another's private attribute, and every import sits at
+module level, never in a function body.  A package `__init__` counts
+the names it lists in `__all__` as used.
 """
 
 import ast
@@ -39,6 +40,29 @@ def used_names(tree):
     return names
 
 
+def defined_names(tree):
+    """Names a module defines: by def or class, by assignment to a
+    name, or by storing an attribute (`self._x = ...`)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def private_attribute_reads(tree):
+    """(line, name) for every read of a `_name` attribute, dunders aside."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr.startswith("_")
+                and not (node.attr.startswith("__") and node.attr.endswith("__"))):
+            yield node.lineno, node.attr
+
+
 def test_modules_are_found():
     assert len(MODULES) > 10
 
@@ -66,6 +90,15 @@ def test_no_private_name_is_imported(path):
     private = [f"{path.name}:{line} {name}" for line, _, name in imports(tree)
                if name.startswith("_")]
     assert not private
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_private_attributes_are_read_where_they_are_defined(path):
+    tree = ast.parse(path.read_text(), str(path))
+    defined = defined_names(tree)
+    foreign = [f"{path.name}:{line} .{name}" for line, name in private_attribute_reads(tree)
+               if name not in defined]
+    assert not foreign
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))

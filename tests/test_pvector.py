@@ -28,7 +28,6 @@ from tropgrass.treespace import (
     SemiLabeledTree,
     Split,
     random_trivalent_tree,
-    tree_to_plucker,
 )
 from tropgrass.troplin import DPartition
 
@@ -106,7 +105,7 @@ def test_equals_mod_phi_across_shapes_and_infinities():
             a.equals_mod_phi(b)
 
 
-@pytest.mark.parametrize("method", ["reduce_mod_phi", "phi_preimage", "equals_mod_phi"])
+@pytest.mark.parametrize("method", ["reduce_mod_phi", "equals_mod_phi"])
 def test_phi_methods_name_themselves_when_d_is_out_of_range(method):
     for d, n in ((1, 4), (2, 2), (4, 4)):
         v = PlueckerVector(d, n, {})
@@ -162,51 +161,6 @@ def test_reduce_mod_phi_matches_gram_solve():
                     outcomes[want] += 1
     # at d = n - 1 phi is onto, so only the other shapes give False
     assert outcomes[True] > 70 and outcomes[False] > 40
-
-
-@pytest.mark.parametrize("n", range(3, 9))
-def test_phi_preimage_inverts_phi(n):
-    """phi(a).phi_preimage() is a for every 2 <= d < n; one unit vector
-    more leaves image(phi), except at d = n - 1, where phi is onto."""
-    rng = random.Random(60 + n)
-    for d in range(2, n):
-        for _ in range(3):
-            a = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(n)]
-            v = phi(a, d)
-            assert v.phi_preimage() == a
-            off = v + basis_vector(d, n, rng.choice(v.subsets))
-            if d == n - 1:
-                assert phi(off.phi_preimage(), d) == off
-            else:
-                assert off.phi_preimage() is None
-    with pytest.raises(ValueError):
-        PlueckerVector(2, n, {(1, 2): INF}).phi_preimage()
-
-
-def _triangle_preimage(n, pairs):
-    """Reference at d = 2: a_1 from the triangle (1, 2, 3), then
-    a_j = pairs[(1, j)] - a_1; None if some a_i + a_j misses pairs[(i, j)]."""
-    a1 = (pairs[(1, 2)] + pairs[(1, 3)] - pairs[(2, 3)]) / 2
-    a = [a1] + [pairs[(1, j)] - a1 for j in range(2, n + 1)]
-    if any(a[i - 1] + a[j - 1] != pairs[(i, j)] for i, j in pairs):
-        return None
-    return a
-
-
-def test_phi_preimage_matches_the_triangle_solve_on_tree_residuals():
-    """What the internal splits leave of a tree's distances is phi of its
-    leaf offsets; one unit vector more is outside image(phi) for n >= 4."""
-    rng = random.Random(8)
-    for n in range(3, 13):
-        for _ in range(4):
-            tree = random_trivalent_tree(n, rng)
-            bare = SemiLabeledTree(n, tree.internal_lengths)
-            residual = tree_to_plucker(bare) - tree_to_plucker(tree)
-            assert (residual.phi_preimage() == _triangle_preimage(n, residual.coords)
-                    == tree.leaf_offsets)
-            bent = residual + basis_vector(2, n, rng.choice(residual.subsets))
-            assert bent.phi_preimage() == _triangle_preimage(n, bent.coords)
-            assert (bent.phi_preimage() is None) == (n > 3)
 
 
 def test_infinite_coordinates_block_phi_reduction():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropgrass.complexes import SimplicialComplex
 from tropgrass.exactalg import (
     GF,
     QQ,
@@ -25,7 +26,6 @@ from tropgrass.pvector import INF, DPartition, PlueckerVector
 from tropgrass.treespace import (
     SemiLabeledTree,
     Split,
-    _trivalent_split_sets,
     additive_linkage,
     circular_weight,
     dissimilarity_from_csv,
@@ -279,6 +279,37 @@ def test_round_trip_property(seed):
     assert additive_linkage(w) == t
 
 
+def _triangle_preimage(n, pairs):
+    """Reference at d = 2: a_1 from the triangle (1, 2, 3), then
+    a_j = pairs[(1, j)] - a_1; None if some a_i + a_j misses pairs[(i, j)]."""
+    a1 = (pairs[(1, 2)] + pairs[(1, 3)] - pairs[(2, 3)]) / 2
+    a = [a1] + [pairs[(1, j)] - a1 for j in range(2, n + 1)]
+    if any(a[i - 1] + a[j - 1] != pairs[(i, j)] for i, j in pairs):
+        return None
+    return a
+
+
+def test_additive_linkage_offsets_match_the_triangle_solve():
+    """Leaf offsets read at the merges against the triangle solve of what
+    the reconstructed splits leave of the distances, on seeded trees with
+    some internal edges of length zero (their splits left out) and
+    offsets of either sign."""
+    rng = random.Random(8)
+    for n in range(3, 16):
+        for _ in range(4):
+            shape = random_trivalent_tree(n, rng)
+            tree = SemiLabeledTree(
+                n, {s: c for s, c in shape.internal_lengths.items() if rng.random() < 0.7},
+                [Fraction(rng.randint(-10, 10), rng.randint(1, 3)) for _ in range(n)])
+            w = tree_to_plucker(tree)
+            back = additive_linkage(w)
+            left = {(i, j): -w[(i, j)] - sum(c for s, c in back.internal_lengths.items()
+                                             if s.separates(i, j))
+                    for i, j in combinations(range(1, n + 1), 2)}
+            assert back.leaf_offsets == _triangle_preimage(n, left) == tree.leaf_offsets
+            assert back == tree
+
+
 # -- serialization --------------------------------------------------------
 
 
@@ -312,6 +343,13 @@ def test_split_json_reads_digit_strings():
     )
     doc["n"] = 12
     with pytest.raises(ValueError):
+        SemiLabeledTree.from_split_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("split", ["12|3|45", "12345", [[1, 2], [3], [4, 5]], [[1, 2, 3, 4, 5]]])
+def test_split_json_refuses_other_than_two_blocks(split):
+    doc = {"n": 5, "splits": [{"split": split, "length": "1"}], "leaf_offsets": ["0"] * 5}
+    with pytest.raises(ValueError, match="^a split has exactly two blocks$"):
         SemiLabeledTree.from_split_json(json.dumps(doc))
 
 
@@ -379,6 +417,41 @@ def test_tn_complex_homology_wedge_of_spheres():
     t8 = tn_complex(8)
     assert t8.f_vector() == (119, 1918, 9450, 17325, 10395)
     assert t8.betti_numbers(check_torsion=True) == (1, 0, 0, 0, 720)
+
+
+def reference_trivalent_split_sets(n):
+    """Every trivalent tree on [n] as a frozenset of Splits, by leaf
+    insertion: each tree on k + 1 leaves arises once, by attaching leaf
+    k + 1 to one of the 2k - 3 edges of a tree on k leaves.  A tree is the
+    list of its edge clusters, each the leaf mask of the side of the edge
+    away from leaf 1; inserting the leaf into the edge with cluster C adds
+    it to the clusters holding C, splits that edge in two and adds the
+    leaf's own edge."""
+    trees = [[0b010, 0b100, 0b110]]
+    for k in range(4, n + 1):
+        bit = 1 << (k - 1)
+        trees = [[D | bit if D & C == C else D for D in clusters if D != C]
+                 + [C | bit, C, bit]
+                 for clusters in trees for C in clusters]
+    return [frozenset(Split.from_mask(n, C) for C in clusters
+                      if 2 <= C.bit_count() <= n - 2)
+            for clusters in trees]
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_tn_complex_matches_the_leaf_insertion_reference(n):
+    """The flag complex of compatible splits and the complex of the
+    trivalent trees enumerated by leaf insertion: the same facets,
+    vertices, f-vector and Betti numbers."""
+    facets = reference_trivalent_split_sets(n)
+    vertices = sorted({s for f in facets for s in f}, key=str)
+    reference = SimplicialComplex(vertices, facets)
+    complex_ = tn_complex(n)
+    assert len(facets) == len(set(facets))
+    assert set(complex_.maximal_faces) == set(facets)
+    assert list(map(str, complex_.vertices)) == list(map(str, vertices))
+    assert complex_.f_vector() == reference.f_vector()
+    assert complex_.betti_numbers() == reference.betti_numbers()
 
 
 def test_tn_complex_guard():
@@ -479,7 +552,7 @@ def sample_trees(n):
         rng = random.Random(7)
         return [random_trivalent_tree(7, rng) for _ in range(40)]
     return [SemiLabeledTree(n, {s: 1 for s in splits})
-            for splits in _trivalent_split_sets(n)]
+            for splits in tn_complex(n).maximal_faces]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
@@ -554,5 +627,5 @@ def test_kept_trees_hold_masks_not_frozensets():
 def test_random_trivalent_tree_hits_every_shape():
     rng = random.Random(5)
     shapes = {random_trivalent_tree(5, rng).splits for _ in range(200)}
-    assert shapes == set(_trivalent_split_sets(5))
+    assert shapes == set(tn_complex(5).maximal_faces)
     assert len(shapes) == 15

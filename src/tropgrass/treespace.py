@@ -24,7 +24,7 @@ from .complexes import SimplicialComplex
 from .exactalg.plucker import plucker_monomial, plucker_ring
 from .exactalg.scalars import QQ
 from .minplus import TropMatrix
-from .pvector import INF, DPartition, PlueckerVector
+from .pvector import INF, DPartition, PlueckerVector, scaled
 
 
 class Split(DPartition):
@@ -243,6 +243,8 @@ def dissimilarity_from_csv(text: str) -> PlueckerVector:
     returns w = -d."""
     rows = TropMatrix.from_csv(text).entries
     n = len(rows)
+    if n < 2:
+        raise ValueError(f"a distance matrix needs at least 2 leaves, got {n}")
     if any(len(r) != n for r in rows):
         raise ValueError("distance matrix must be square")
     if any(v is INF for r in rows for v in r):
@@ -270,20 +272,38 @@ def dissimilarity_to_csv(w: PlueckerVector) -> str:
 
 def four_point_check(w: PlueckerVector):
     """(True, None) if every quadruple's minimal pair-sum ties, else
-    (False, violating quadruple)."""
+    (False, the first violating quadruple in lex order).  A pair-sum with
+    an infinite term is infinite, and infinite sums tie with each other.
+
+    The scan runs on w scaled to ints: an infinite coordinate becomes a
+    sentinel that puts every sum with an infinite term at or above
+    `floor`, above every finite sum, so a unique minimum is a violation
+    only when it lies below `floor`."""
     if w.d != 2:
         raise ValueError("four-point condition applies to d = 2")
-    for q in combinations(range(1, w.n + 1), 4):
-        i, j, k, l = q
-        sums = sorted(
-            [
-                w[(i, j)] + w[(k, l)],
-                w[(i, k)] + w[(j, l)],
-                w[(i, l)] + w[(j, k)],
-            ]
-        )
-        if sums[0] != sums[1]:
-            return False, q
+    n = w.n
+    _, ints = scaled(w.as_list())
+    big = max((abs(v) for v in ints if v is not None), default=0)
+    floor = 2 * big + 1
+    D = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(w.subsets, ints):
+        D[i - 1][j - 1] = D[j - 1][i - 1] = 3 * big + 1 if v is None else v
+    for i in range(n):
+        Di = D[i]
+        for j in range(i + 1, n):
+            Dj, dij = D[j], Di[j]
+            for k in range(j + 1, n):
+                Dk, dik, djk = D[k], Di[k], Dj[k]
+                for l in range(k + 1, n):
+                    a, b, c = dij + Dk[l], dik + Dj[l], Di[l] + djk
+                    if a < b:
+                        bad = a != c and min(a, c) < floor
+                    elif b < a:
+                        bad = b != c and min(b, c) < floor
+                    else:
+                        bad = c < a and c < floor
+                    if bad:
+                        return False, (i + 1, j + 1, k + 1, l + 1)
     return True, None
 
 
@@ -314,6 +334,9 @@ def additive_linkage(w: PlueckerVector) -> SemiLabeledTree:
     dist = {(i, j): D0(i, j) for (i, j) in combinations(reps, 2)}
     offsets = [None] * n
 
+    # the cherry search and the length scan below stay on Fractions: a
+    # merged cluster's distances are halves of sums, and the length scan,
+    # most of the linkage time, stays for the reason given there
     def d(a, b):
         return dist[(a, b) if a < b else (b, a)]
 

@@ -67,6 +67,14 @@ def test_tree_reconstruct_missing_file(tmp_path):
     assert run(["tree", "reconstruct", "--input", str(tmp_path / "nope.csv")]) == 1
 
 
+def test_tree_reconstruct_refuses_fewer_than_two_leaves(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("0\n")
+    assert run(["tree", "reconstruct", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: a distance matrix needs at least 2 leaves, got 1\n")
+
+
 def test_usage_error():
     assert run(["tree"]) == 1
     assert run(["no-such-group"]) == 1

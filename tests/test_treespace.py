@@ -220,6 +220,126 @@ def test_four_point_check():
         four_point_check(PlueckerVector(3, 6, {}))
 
 
+def reference_four_point_check(w):
+    """The four-point scan on Fraction pair-sums, as it ran before the int
+    scan: sort the three pair-sums of each quadruple in lex order."""
+    if w.d != 2:
+        raise ValueError("four-point condition applies to d = 2")
+    for q in combinations(range(1, w.n + 1), 4):
+        i, j, k, l = q
+        sums = sorted([w[(i, j)] + w[(k, l)], w[(i, k)] + w[(j, l)],
+                       w[(i, l)] + w[(j, k)]])
+        if sums[0] != sums[1]:
+            return False, q
+    return True, None
+
+
+def _seeded_tree_metric(n, rng):
+    """w of a random tree with rational lengths, some internal edges of
+    length zero (their splits left out) and offsets of either sign."""
+    shape = random_trivalent_tree(n, rng)
+    tree = SemiLabeledTree(
+        n, {s: c for s, c in shape.internal_lengths.items() if rng.random() < 0.7},
+        [Fraction(rng.randint(-10, 10), rng.randint(1, 3)) for _ in range(n)])
+    return tree_to_plucker(tree)
+
+
+def _perturbed(w, rng):
+    """w with one coordinate moved by a nonzero rational."""
+    S = rng.choice(w.subsets)
+    delta = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+    return PlueckerVector(2, w.n, {**w.coords, S: w.coords[S] + delta})
+
+
+def _random_vector(n, rng):
+    """Small random rationals, so that ties are common."""
+    return PlueckerVector(2, n, {S: Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+                                 for S in combinations(range(1, n + 1), 2)})
+
+
+def _with_infinities(w, rng, share):
+    """w with INF at about `share` of its coordinates (at least one finite)."""
+    coords = {S: INF if rng.random() < share else v for S, v in w.coords.items()}
+    coords[w.subsets[0]] = w.coords[w.subsets[0]]
+    return PlueckerVector(2, w.n, coords)
+
+
+def test_four_point_check_matches_the_fraction_reference():
+    """The int scan gives the Fraction scan's verdict and first violating
+    quadruple on tree metrics, on the same metrics with one entry moved or
+    with infinite coordinates, and on random rational vectors."""
+    rng = random.Random(27)
+    verdicts = {True: 0, False: 0}
+    for n in range(4, 13):
+        for _ in range(6):
+            w = _seeded_tree_metric(n, rng)
+            cases = [w, _perturbed(w, rng), _random_vector(n, rng),
+                     _with_infinities(w, rng, 0.1), _with_infinities(w, rng, 0.7)]
+            for v in cases:
+                got = four_point_check(v)
+                assert got == reference_four_point_check(v), (n, v.coords)
+                verdicts[got[0]] += 1
+            assert four_point_check(w) == (True, None)
+    w = _seeded_tree_metric(20, rng)
+    assert four_point_check(w) == reference_four_point_check(w) == (True, None)
+    for _ in range(5):
+        bad = _perturbed(w, rng)
+        got = four_point_check(bad)
+        assert got == reference_four_point_check(bad)
+        verdicts[got[0]] += 1
+    assert min(verdicts.values()) > 50
+
+
+@pytest.mark.parametrize("coords,expected", [
+    # (1,2) infinite, the other two sums tied
+    ({(1, 2): INF}, (True, None)),
+    # (1,2) infinite, the other two sums apart
+    ({(1, 2): INF, (1, 3): -1}, (False, (1, 2, 3, 4))),
+    # every sum has an infinite term, one of them beside the least entry
+    ({(1, 2): INF, (1, 3): INF, (1, 4): INF, (3, 4): -5}, (True, None)),
+    # two sums infinite: the finite one, the largest finite sum there can
+    # be, is the unique minimum
+    ({(1, 2): INF, (1, 3): INF, (1, 4): 5, (2, 3): 5}, (False, (1, 2, 3, 4))),
+])
+def test_four_point_check_with_infinite_coordinates(coords, expected):
+    w = PlueckerVector(2, 4, coords)
+    assert four_point_check(w) == reference_four_point_check(w) == expected
+
+
+def test_four_point_check_makes_no_fractions(monkeypatch):
+    """The scan works on ints: no Fraction is made while it runs, on a
+    12-leaf tree metric or on the same metric with one entry moved (the
+    Fraction scan makes 1,485 on the tree metric under Python 3.11)."""
+    rng = random.Random(12)
+    w = _seeded_tree_metric(12, rng)
+    bad = _perturbed(w, rng)
+    made = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+ arithmetic
+        coprime = Fraction._from_coprime_ints
+
+        def counting_coprime(cls, *args):
+            made[0] += 1
+            return coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+
+    def fractions_made(check, v):
+        made[0] = 0
+        check(v)
+        return made[0]
+
+    assert fractions_made(reference_four_point_check, w) >= 1485
+    assert fractions_made(four_point_check, w) == 0
+    assert fractions_made(four_point_check, bad) == 0
+
+
 @pytest.mark.parametrize("n,seed", [(5, 1), (5, 2), (6, 3), (6, 4), (7, 5)])
 def test_additive_linkage_round_trip(n, seed):
     rng = random.Random(seed)
@@ -246,6 +366,9 @@ def test_distance_csv_is_trop_matrix_csv():
         dissimilarity_from_csv("0,1\n1\n")
     with pytest.raises(ValueError, match="square"):
         dissimilarity_from_csv("0,1,2\n1,0,3\n")
+    for text in ("", "0\n"):
+        with pytest.raises(ValueError, match="at least 2 leaves"):
+            dissimilarity_from_csv(text)
     with pytest.raises(ValueError, match="coordinate 12 of the result is -inf"):
         dissimilarity_to_csv(PlueckerVector(2, 4, {(1, 2): INF}))
 

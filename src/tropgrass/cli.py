@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -95,7 +94,7 @@ def cmd_treespace_stats(args, report):
     f = complex_.f_vector()
     report["n"] = n
     _claim(report, "vertices", 2 ** (n - 1) - n - 1, f[0])
-    facets = len(complex_.maximal_faces)
+    facets = len(complex_.masks)
     expected = 1
     for k in range(2 * n - 5, 0, -2):
         expected *= k
@@ -296,17 +295,15 @@ def cmd_sagbi(args, report):
 
 
 # -- argument plumbing ---------------------------------------------------
-# An option is (flag, argparse keywords); "env" names the environment
-# variable that overrides its default when the parser is built.
+# An option is (flag, argparse keywords).
 
 _W = ("--w", {"required": True, "help": "PlueckerVector JSON file"})
 _CHAR = ("--char", {"type": int, "default": 0})
 _BUDGET = ("--budget", {
-    "type": int, "env": "TROPGRASS_BUDGET",
+    "type": int,
     "help": "step budget: S-pairs per Groebner run, witness candidates",
 })
-_SEED = ("--seed", {"type": int, "default": 0, "env": "TROPGRASS_SEED",
-                    "help": "random seed"})
+_SEED = ("--seed", {"type": int, "default": 0, "help": "random seed"})
 _PLUCKER = (("--d", {"type": int, "required": True}),
             ("--n", {"type": int, "required": True}), _CHAR)
 
@@ -355,10 +352,6 @@ def build_parser():
                 dest="action", required=True)
         p = groups[group].add_parser(action)
         for flag, kw in options:
-            kw = dict(kw)
-            raw = os.environ.get(kw.pop("env", ""))
-            if raw:
-                kw["default"] = int(raw)
             p.add_argument(flag, **kw)
         p.add_argument("--output", help="write the JSON report here")
         p.set_defaults(func=func)

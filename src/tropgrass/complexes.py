@@ -5,77 +5,88 @@ kernels of `exactalg` share."""
 
 from __future__ import annotations
 
-import json
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 from math import gcd
 
 
 class SimplicialComplex:
     """A finite simplicial complex stored by its maximal faces.
 
-    Vertices are hashable labels and maximal faces frozensets of them;
-    faces() lists every face as the sorted tuple of its vertices'
-    positions in the str order of the vertices.
+    Vertices are hashable labels, numbered once in their str order, and
+    a face is one int mask, bit i for vertex number i: `masks` holds the
+    maximal faces, largest first.  Labels are read back by `labels`.
     """
 
     def __init__(self, vertices, maximal_faces):
         self.vertices = tuple(vertices)
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        self._labels = sorted(self.vertices, key=str)
+        self._index = {v: i for i, v in enumerate(self._labels)}
+        if len(self._index) != len(self.vertices):
             raise ValueError("duplicate vertices")
-        maximal = [frozenset(f) for f in maximal_faces]
-        for f in maximal:
-            if not f <= vset:
-                raise ValueError(f"face {sorted(f)} uses unknown vertices")
-        # drop faces contained in others: a face can only lie in an equal
-        # kept face or in one of the larger kept faces before it
-        maximal.sort(key=len, reverse=True)
-        kept, seen, larger = [], set(), 0
-        for f in maximal:
-            if f in seen:
-                continue
-            while larger < len(kept) and len(kept[larger]) > len(f):
+        masks = []
+        for f in maximal_faces:
+            m = self._mask(f)
+            if m is None:
+                raise ValueError(f"face {sorted(set(f))} uses unknown vertices")
+            masks.append(m)
+        # drop repeated faces and faces contained in others: a face can only
+        # lie in one of the larger kept faces before it
+        kept, larger = [], 0
+        for f in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
+            while larger < len(kept) and kept[larger].bit_count() > f.bit_count():
                 larger += 1
-            if not any(map(f.issubset, kept[:larger])):
+            if not any(f & g == f for g in kept[:larger]):
                 kept.append(f)
-                seen.add(f)
-        self.maximal_faces = kept
+        self.masks = kept
         self._faces_by_dim = None
 
     @classmethod
     def flag(cls, vertices, edges):
         """The flag (clique) complex of a simple graph: faces = cliques.
         A loop edge or an edge to an unknown vertex raises ValueError."""
-        vertices = list(vertices)
-        order = sorted(vertices, key=str)
-        index = {v: i for i, v in enumerate(order)}
-        adj = [0] * len(order)
+        complex_ = cls(vertices, ())
+        adj = [0] * len(complex_.vertices)
         for u, v in edges:
-            i, j = index.get(u), index.get(v)
+            i, j = complex_._index.get(u), complex_._index.get(v)
             if i is None or j is None:
                 raise ValueError(f"edge {(u, v)} uses unknown vertices")
             if i == j:
                 raise ValueError(f"edge {(u, v)} is a loop")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        cliques = [frozenset(order[i] for i in _bits(c)) for c in _max_cliques(adj)]
-        return cls(vertices, cliques)
+        complex_.masks = sorted(_max_cliques(adj), key=int.bit_count, reverse=True)
+        return complex_
+
+    def _mask(self, face):
+        """The mask of a collection of labels, or None if one is no vertex."""
+        bits = [self._index.get(v) for v in face]
+        return None if None in bits else sum({1 << i for i in bits})
+
+    def labels(self, mask):
+        """The labels of the vertices of a face mask, in vertex order."""
+        return [self._labels[i] for i in _bits(mask)]
+
+    @property
+    def maximal_faces(self):
+        """The maximal faces as frozensets of labels, in the order of masks."""
+        return [frozenset(self.labels(m)) for m in self.masks]
 
     def faces(self):
-        """dict: dimension -> sorted list of faces, each the sorted tuple
-        of its vertices' positions in the str order of the vertices."""
+        """dict: dimension -> the masks of the faces of that dimension, in
+        lex order of their sorted vertex numbers.  The faces of a size are
+        its maximal faces and the faces one larger less one vertex."""
         if self._faces_by_dim is None:
-            pos = {v: i for i, v in enumerate(sorted(self.vertices, key=str))}
-            seen = set()
-            for m in self.maximal_faces:
-                cell = sorted(pos[v] for v in m)
-                for k in range(1, len(cell) + 1):
-                    seen.update(combinations(cell, k))
-            by_dim = {}
-            for f in sorted(seen):
-                by_dim.setdefault(len(f) - 1, []).append(f)
-            self._faces_by_dim = by_dim
+            # among faces of one size, lex order is the descending order of
+            # the mask's bits read from vertex 0 up; it keeps the pivot
+            # columns of betti_numbers sparse
+            width = (len(self._labels) + 7) // 8
+            by_dim, level = {}, set()
+            for k in range(max(map(int.bit_count, self.masks), default=0), 0, -1):
+                level = {f ^ (1 << i) for f in level for i in _bits(f)}
+                level.update(m for m in self.masks if m.bit_count() == k)
+                by_dim[k - 1] = sorted(level, reverse=True, key=lambda m: m.to_bytes(
+                    width, "little").translate(_REVERSED_BITS))
+            self._faces_by_dim = dict(reversed(by_dim.items()))
         return self._faces_by_dim
 
     def faces_of_dim(self, d):
@@ -94,26 +105,25 @@ class SimplicialComplex:
 
     def is_pure(self) -> bool:
         d = self.dim()
-        return all(len(m) - 1 == d for m in self.maximal_faces)
+        return all(m.bit_count() - 1 == d for m in self.masks)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * c for d, c in enumerate(self.f_vector()))
 
     def has_face(self, face) -> bool:
-        f = frozenset(face)
-        return any(f <= m for m in self.maximal_faces)
+        f = self._mask(face)
+        return f is not None and any(f & m == f for m in self.masks)
 
     def link(self, face) -> "SimplicialComplex":
-        f = frozenset(face)
-        if not self.has_face(f):
-            raise ValueError(f"face {sorted(map(str, f))} not in complex")
-        link_max = []
-        for m in self.maximal_faces:
-            if f <= m:
-                link_max.append(m - f)
-        link_max = [g for g in link_max if g]
-        verts = sorted(set().union(*link_max) if link_max else set(), key=str)
-        return SimplicialComplex(verts, link_max)
+        face = set(face)
+        if not self.has_face(face):
+            raise ValueError(f"face {sorted(map(str, face))} not in complex")
+        f = self._mask(face)
+        link_max = [m ^ f for m in self.masks if f & m == f and m != f]
+        verts = 0
+        for m in link_max:
+            verts |= m
+        return SimplicialComplex(self.labels(verts), map(self.labels, link_max))
 
     # -- homology ---------------------------------------------------------
 
@@ -128,8 +138,8 @@ class SimplicialComplex:
         for cell in self.faces_of_dim(d):
             col = {}
             sign = 1
-            for i in range(len(cell)):
-                col[lower[cell[:i] + cell[i + 1 :]]] = sign
+            for i in _bits(cell):
+                col[lower[cell ^ (1 << i)]] = sign
                 sign = -sign
             cols.append(col)
         return cols, len(lower)
@@ -175,25 +185,12 @@ class SimplicialComplex:
             ncells[d] - ranks[d] - ranks[d + 1] for d in range(top + 1)
         )
 
-    # -- JSON wire format -------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "vertices": [str(v) for v in self.vertices],
-                "maximal_faces": sorted(
-                    [sorted(map(str, f)) for f in self.maximal_faces]
-                ),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str):
-        data = json.loads(text)
-        return cls(data["vertices"], data["maximal_faces"])
-
     def __repr__(self):
         return f"SimplicialComplex(f={self.f_vector()})"
+
+
+# each byte with its bits in reverse order
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _bits(mask):
@@ -259,17 +256,11 @@ def _reduce(col, pivots):
                 del col[k]
 
 
-def _invariant_factors(cols):
-    """Nonzero invariant factors of a sparse integer matrix given as
-    column dicts {row: entry}, each dividing the next; their number is
-    its rank."""
-    return _eliminate(cols)[1]
-
-
 def _eliminate(cols):
-    """The elimination behind _invariant_factors; returns (pivots,
-    factors): the pivot columns by their pivot rows, as _reduce reads
-    them, and the nonzero invariant factors.
+    """Eliminate a sparse integer matrix given as column dicts {row:
+    entry}; returns (pivots, factors): the pivot columns by their pivot
+    rows, as _reduce reads them, and the nonzero invariant factors, each
+    dividing the next, whose number is the rank.
 
     One elimination over Z: each column is reduced against the pivot
     columns made so far and, if a +-1 entry is left, it becomes a pivot

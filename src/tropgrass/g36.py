@@ -187,14 +187,14 @@ def build_g36() -> SimplicialComplex:
     (65, 550, 1395, 1035)."""
     delta = build_delta()
     maximal = []
-    for facet in delta.maximal_faces:
+    for facet in map(delta.labels, delta.masks):
         if len(facet) == 5:
             fs = sorted(v for v in facet if v.kind == "f")
             gs = [v for v in facet if v.kind == "g"]
             if len(fs) != 3 or len(gs) != 2:
                 raise AssertionError("unexpected 4-simplex class")
             for fa, fb in combinations(fs, 2):
-                maximal.append(frozenset([fa, fb] + gs))
+                maximal.append([fa, fb] + gs)
         else:
             maximal.append(facet)
     return SimplicialComplex(delta.vertices, maximal)
@@ -214,7 +214,7 @@ def facet_class(face) -> str:
 def facet_census(complex_=None):
     complex_ = complex_ or build_g36()
     census = {}
-    for facet in complex_.maximal_faces:
+    for facet in map(complex_.labels, complex_.masks):
         cls = facet_class(facet)
         census[cls] = census.get(cls, 0) + 1
     return census

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -128,32 +127,6 @@ class TropPolynomial:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "vars": self.nvars,
-                "terms": [
-                    {
-                        "exp": list(exp),
-                        "coeff": "inf" if c is INF else str(c),
-                    }
-                    for exp, c in sorted(self.terms.items())
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str):
-        data = json.loads(text)
-        terms = [
-            (
-                tuple(t["exp"]),
-                INF if t["coeff"] == "inf" else Fraction(t["coeff"]),
-            )
-            for t in data["terms"]
-        ]
-        return cls(data["vars"], terms)
 
     def __repr__(self):
         chunks = []

@@ -163,11 +163,13 @@ def _phi_residual(d: int, n: int, u):
 
 
 class PlueckerVector:
-    """A rational (or +inf) coordinate per d-subset of [n].  Missing
-    coordinates are 0; a key that is not a sorted d-subset raises
-    ValueError."""
+    """A rational (or +inf) coordinate per d-subset of [n], 0 <= d <= n.
+    Missing coordinates are 0; a key that is not a sorted d-subset
+    raises ValueError."""
 
     def __init__(self, d: int, n: int, coords=None):
+        if not 0 <= d <= n:
+            raise ValueError(f"PlueckerVector needs 0 <= d <= n, got d = {d}, n = {n}")
         self.d = d
         self.n = n
         self.subsets = subset_tuple(d, n)

@@ -436,7 +436,7 @@ def tn_complex(n: int) -> SimplicialComplex:
     schroder = 1
     for k in range(3, 2 * n - 4, 2):
         schroder *= k
-    if len(complex_.maximal_faces) != schroder:
+    if len(complex_.masks) != schroder:
         raise AssertionError("facet census failed")
     return complex_
 

@@ -151,6 +151,14 @@ def test_plane_reconstruct_rejects_d_outside_range(d, n, tmp_path, capsys):
     assert capsys.readouterr().err == "error: reduce_mod_phi needs 2 <= d < n\n"
 
 
+def test_plane_dual_refuses_d_past_n(tmp_path, capsys):
+    w_path = tmp_path / "w.json"
+    w_path.write_text('{"d": 3, "n": 2, "coords": {}}')
+    assert run(["plane", "dual", "--w", str(w_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: PlueckerVector needs 0 <= d <= n, got d = 3, n = 2\n")
+
+
 def test_groebner_degree_and_budget(tmp_path):
     out = tmp_path / "report.json"
     code = run(
@@ -262,13 +270,6 @@ def test_stdout_report(capsys):
     report = json.loads(out)
     # T_4 is three isolated vertices, each its own facet
     assert report["f_vector"] == [3]
-
-
-def test_env_overrides(tmp_path, monkeypatch):
-    monkeypatch.setenv("TROPGRASS_BUDGET", "1")
-    out = tmp_path / "report.json"
-    code = run(["groebner", "degree", "--d", "3", "--n", "6", "--output", str(out)])
-    assert code == 1
 
 
 # -- the subcommand table ------------------------------------------------

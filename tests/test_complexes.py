@@ -4,13 +4,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
 
-from tropgrass.complexes import SimplicialComplex, _invariant_factors, _smith_factors
+from tropgrass.complexes import SimplicialComplex, _eliminate, _smith_factors
 from tropgrass.g36 import TRIANGLE_LINKS, build_delta, build_g36, gv, vertices
 from tropgrass.treespace import tn_complex
 
@@ -137,13 +138,6 @@ def test_boundary_maps_compose_to_zero():
                 assert not any(total.values()), (c, d, col)
 
 
-def test_json_round_trip():
-    s = sphere2()
-    back = SimplicialComplex.from_json(s.to_json())
-    assert back.f_vector() == s.f_vector()
-    assert back.euler_characteristic() == s.euler_characteristic()
-
-
 # -- the integer elimination ----------------------------------------------
 
 
@@ -229,7 +223,7 @@ def test_elimination_rank_matches_fraction_rank():
     rng = random.Random(20)
     for _ in range(300):
         cols, nrows = random_sparse_matrix(rng)
-        assert len(_invariant_factors(cols)) == fraction_rank(cols, nrows)
+        assert len(_eliminate(cols)[1]) == fraction_rank(cols, nrows)
 
 
 def test_elimination_invariant_factors_match_smith():
@@ -238,7 +232,7 @@ def test_elimination_invariant_factors_match_smith():
     for _ in range(300):
         cols, nrows = random_sparse_matrix(rng)
         dense = [[col.get(r, 0) for col in cols] for r in range(nrows)]
-        factors = _invariant_factors(cols)
+        factors = _eliminate(cols)[1]
         assert factors == _smith_factors(dense) == reference_smith_factors(dense)
         nonunit += any(f != 1 for f in factors)
     assert nonunit > 20  # the residual block is exercised
@@ -267,7 +261,7 @@ def reference_betti_numbers(c, check_torsion=False):
     ncells = c.f_vector()
     ranks = [0] * (top + 2)
     for d in range(1, top + 1):
-        factors = _invariant_factors(c.boundary_matrix(d)[0])
+        factors = _eliminate(c.boundary_matrix(d)[0])[1]
         ranks[d] = len(factors)
         torsion = [f for f in factors if f != 1]
         if check_torsion and torsion:
@@ -363,10 +357,9 @@ def test_betti_numbers_match_reference_on_g36_links_and_tree_spaces():
     for tri, _ in TRIANGLE_LINKS.values():
         assert_same_homology(g.link([gv(x) for x in tri]))
     rng = random.Random(24)
-    order = sorted(g.vertices, key=str)
     for d in (0, 1, 2):
         for face in rng.sample(g.faces_of_dim(d), 6):
-            assert_same_homology(g.link([order[i] for i in face]))
+            assert_same_homology(g.link(g.labels(face)))
     for n in (4, 5, 6, 7):
         assert_same_homology(tn_complex(n))
     assert assert_same_homology(build_delta()) == (1, 0, 0, 126, 0)
@@ -388,12 +381,14 @@ def reference_maximal_cliques(labels, edges):
     return {c for c in cliques if not any(c < o for o in cliques)}
 
 
+MIXED_LABELS = ([0, 1, 2, 3, 7, -4] + ["1", "a", "b", "e_123", ""]
+                + [(1,), (1, 2), ("a", 3)] + vertices()[::13])
+
+
 def test_flag_complex_matches_brute_force_cliques_on_mixed_labels():
-    pool = ([0, 1, 2, 3, 7, -4] + ["1", "a", "b", "e_123", ""]
-            + [(1,), (1, 2), ("a", 3)] + vertices()[::13])
     rng = random.Random(25)
     for _ in range(150):
-        labels = rng.sample(pool, rng.randint(0, 10))
+        labels = rng.sample(MIXED_LABELS, rng.randint(0, 10))
         p = rng.choice([0.3, 0.5, 0.7, 0.9])
         edges = [(u, v) if rng.random() < 0.5 else (v, u)
                  for u, v in combinations(labels, 2) if rng.random() < p]
@@ -402,6 +397,77 @@ def test_flag_complex_matches_brute_force_cliques_on_mixed_labels():
         assert len(set(c.maximal_faces)) == len(c.maximal_faces)
         assert set(c.maximal_faces) == reference_maximal_cliques(labels, edges)
         assert c.vertices == tuple(labels)
+
+
+# -- faces as masks against faces as label sets ----------------------------
+
+
+def reference_faces(spanning):
+    """Every face of the complex the given faces span, as a frozenset of
+    labels: each nonempty subset of each of them."""
+    return {frozenset(s) for f in map(frozenset, spanning)
+            for k in range(1, len(f) + 1) for s in combinations(f, k)}
+
+
+def random_complex_on_mixed_labels(rng):
+    """A seeded complex on mixed labels and faces that span it: a flag
+    complex, whose vertices without edges are isolated, and its maximal
+    cliques, or random faces, some of them single vertices, with some
+    vertices in no face."""
+    labels = rng.sample(MIXED_LABELS, rng.randint(0, 10))
+    if rng.random() < 0.5:
+        p = rng.choice([0.2, 0.5, 0.8])
+        edges = [e for e in combinations(labels, 2) if rng.random() < p]
+        return SimplicialComplex.flag(labels, edges), reference_maximal_cliques(labels, edges)
+    faces = [rng.sample(labels, rng.randint(1, min(5, len(labels))))
+             for _ in range(rng.randint(0, 8) if labels else 0)]
+    return SimplicialComplex(labels, faces), faces
+
+
+def label_faces(c):
+    """The faces of c read back as label frozensets."""
+    return {frozenset(c.labels(m)) for masks in c.faces().values() for m in masks}
+
+
+def test_masked_faces_match_label_sets_on_mixed_labels():
+    rng = random.Random(26)
+    for _ in range(200):
+        c, spanning = random_complex_on_mixed_labels(rng)
+        want = reference_faces(spanning)
+        number = {v: i for i, v in enumerate(sorted(c.vertices, key=str))}
+        for d, masks in c.faces().items():
+            numbers = [[number[v] for v in c.labels(m)] for m in masks]
+            assert all(len(f) == d + 1 for f in numbers)
+            assert all(a < b for a, b in zip(numbers, numbers[1:]))  # lex order
+        assert label_faces(c) == want
+        top = max(map(len, want), default=0)
+        assert c.f_vector() == tuple(sum(len(f) == k for f in want) for k in range(1, top + 1))
+        probes = [rng.sample(c.vertices, rng.randint(1, len(c.vertices)))
+                  for _ in range(10) if c.vertices]
+        probes += [[*f, "not a vertex"] for f in probes[:2]]
+        for f in probes:
+            assert c.has_face(f) == (frozenset(f) in want)
+        in_order = sorted(want, key=lambda f: sorted(number[v] for v in f))
+        for f in rng.sample(in_order, min(4, len(in_order))):
+            lk = c.link(f)
+            lk_want = {g - f for g in want if f < g}
+            assert set(lk.vertices) == set().union(*lk_want)
+            assert label_faces(lk) == lk_want
+            assert set(lk.maximal_faces) == {g for g in lk_want
+                                             if not any(g < h for h in lk_want)}
+
+
+def test_tree_space_faces_stay_small():
+    """A face is one int mask, so T_8 and its 39,207 faces take under
+    6 MB of traced memory at the peak."""
+    tracemalloc.start()
+    try:
+        f = tn_complex(8).f_vector()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f == (119, 1918, 9450, 17325, 10395)
+    assert peak < 6_000_000, peak
 
 
 @pytest.mark.parametrize("vertices,edges,message", [

@@ -112,9 +112,19 @@ def test_no_import_in_a_function_body(path):
     assert not inner
 
 
+def importers(module):
+    """The library files that import module, by path under src."""
+    return [str(path.relative_to(SRC)) for path in MODULES
+            if any(top == module for _, top, _ in imports(ast.parse(path.read_text())))]
+
+
 def test_minplus_alone_imports_csv():
     """One matrix CSV dialect: TropMatrix.to_csv and from_csv."""
-    importers = [str(path.relative_to(SRC)) for path in MODULES
-                 if any(top == "csv"
-                        for _, top, _ in imports(ast.parse(path.read_text())))]
-    assert importers == ["tropgrass/minplus.py"]
+    assert importers("csv") == ["tropgrass/minplus.py"]
+
+
+def test_json_is_imported_only_where_the_cli_reads_or_writes_it():
+    """JSON is the CLI's wire format: Pluecker vectors, split trees and
+    the reports, and no other module writes or reads it."""
+    assert importers("json") == ["tropgrass/cli.py", "tropgrass/pvector.py",
+                                 "tropgrass/treespace.py"]

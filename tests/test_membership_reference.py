@@ -310,7 +310,7 @@ def test_circuits_equal_linear_forms_of_rational_planes():
                 coeffs[j - 1] = w[tuple(i for i in J if i != j)]
             G = trop_linear_form(coeffs)
             assert F == G and hash(F) == hash(G) and repr(F) == repr(G)
-            assert F.to_json() == G.to_json() and F.is_homogeneous()
+            assert F.is_homogeneous()
             x = [rational(rng) for _ in range(w.n)]
             assert F.evaluate(x) == G.evaluate(x)
             assert F.tight_terms(x) == G.tight_terms(x)

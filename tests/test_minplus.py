@@ -177,11 +177,6 @@ def test_linear_form():
     assert F.tight_terms([-1, 0, 0]) == {(1, 0, 0), (0, 1, 0)}
 
 
-def test_polynomial_json_round_trip():
-    F = TropPolynomial(2, [((1, 1), Fraction(1, 3)), ((0, 0), INF), ((2, 0), -2)])
-    assert TropPolynomial.from_json(F.to_json()) == F
-
-
 def test_matrix_csv_round_trip():
     m = TropMatrix([[0, Fraction(1, 2)], [INF, -3]])
     assert TropMatrix.from_csv(m.to_csv()) == m

@@ -29,7 +29,7 @@ from tropgrass.treespace import (
     Split,
     random_trivalent_tree,
 )
-from tropgrass.troplin import DPartition
+from tropgrass.troplin import DPartition, dual
 
 
 def test_subset_enumeration():
@@ -167,6 +167,21 @@ def test_infinite_coordinates_block_phi_reduction():
     w = PlueckerVector(2, 4, {(1, 2): INF})
     with pytest.raises(ValueError):
         w.reduce_mod_phi()
+
+
+@pytest.mark.parametrize("d, n", [(3, 2), (-1, 4), (1, 0), (0, -1)])
+def test_d_outside_zero_to_n_is_refused(d, n):
+    with pytest.raises(ValueError, match=re.escape(
+            f"PlueckerVector needs 0 <= d <= n, got d = {d}, n = {n}")):
+        PlueckerVector(d, n, {})
+
+
+def test_d_zero_and_d_n_are_each_others_dual():
+    for n in (0, 3):
+        empty, full = PlueckerVector(0, n, {(): 5}), PlueckerVector(n, n, {})
+        assert empty.subsets == ((),) and full.subsets == (tuple(range(1, n + 1)),)
+        assert dual(empty) == PlueckerVector(n, n, {full.subsets[0]: 5})
+        assert dual(full) == PlueckerVector(0, n, {})
 
 
 def test_dimension_mismatch():
